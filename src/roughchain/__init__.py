@@ -28,7 +28,7 @@ from .kernel import (
     laplace_quadrature,
     perturbed_kernel,
 )
-from .matexp import ExpmPlan, expm_action, expm_dense
+from .matexp import expm_action, expm_dense
 from .mc import McConfig, estimate_l2_rate, gaps_to_csv, mc_price, simulate_v
 from .models import (
     MODEL_NAMES,
@@ -44,7 +44,6 @@ from .pricing import (
     PriceResult,
     payoff_vector,
     price_bermudan,
-    price_barrier_coupled,
     price_european_coupled,
     price_fast,
 )

@@ -23,7 +23,7 @@ import numpy as np
 from . import ctmc, matexp, presets
 from .errors import ConfigError, ParameterError, RoughChainError
 from .kernel import KernelSpec, laplace_constants, laplace_quadrature, perturbed_kernel
-from .mc import McConfig, estimate_l2_rate, mc_price
+from .mc import McConfig, mc_price
 from .models import MarketParams, make_model
 from .pricing import (
     OptionSpec,
@@ -41,9 +41,8 @@ _SCHEMA = {
     "market": {"s0", "v0", "rho"},
     "kernel": {"hurst", "eps"},
     "numerics": {
-        "n_x", "m_v", "method", "formulation", "theta_variant", "boundary",
-        "rate_policy", "grid_style", "n_slices", "v_bounds", "x_bounds",
-        "bermudan_dates",
+        "n_x", "m_v", "method", "formulation", "rate_policy", "n_slices",
+        "v_bounds", "x_bounds", "bermudan_dates",
     },
     "option": {"kind", "strike", "maturity", "rate", "barrier"},
     "mc": {"paths", "steps", "seed", "antithetic"},
@@ -58,9 +57,7 @@ def default_config() -> dict:
         "kernel": dict(presets.BASE_KERNEL),
         "numerics": {
             "n_x": 100, "m_v": 100, "method": "fast",
-            "formulation": "stable", "theta_variant": "lemma",
-            "boundary": "drift", "rate_policy": "upwind",
-            "grid_style": "piecewise-uniform", "n_slices": 48,
+            "formulation": "stable", "rate_policy": "upwind", "n_slices": 48,
             "v_bounds": None, "x_bounds": None, "bermudan_dates": None,
         },
         "option": dict(presets.BASE_OPTION, barrier=None),
@@ -119,11 +116,10 @@ def _build_system(cfg: dict) -> ctmc.GeneratorSet:
     num = cfg["numerics"]
     return ctmc.assemble(
         model, market, kernel,
-        n=num["n_x"], m=num["m_v"], style=num["grid_style"],
+        n=num["n_x"], m=num["m_v"],
         v_bounds=tuple(num["v_bounds"]) if num["v_bounds"] else None,
         x_bounds=tuple(num["x_bounds"]) if num["x_bounds"] else None,
-        formulation=num["formulation"], theta_variant=num["theta_variant"],
-        boundary=num["boundary"], rate_policy=num["rate_policy"],
+        formulation=num["formulation"], rate_policy=num["rate_policy"],
     )
 
 

@@ -12,9 +12,8 @@ off-diagonal; the "upwind" policy repairs only those rows by the one-sided
 split that preserves the first moment exactly (at the cost of inflating the
 second by |drift| h), while the "error" policy raises.
 
-Boundary rows: "drift" keeps only the outflow drift (the state leaves a
-truncation wall at its physical drift rate, no one-sided diffusion), "absorb"
-zeroes the rows entirely.
+Boundary rows keep only the outflow drift: the state leaves a truncation
+wall at its physical drift rate, with no one-sided diffusion.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ def tridiagonal_generator(
     grid: Grid,
     drift: np.ndarray,
     diff2: np.ndarray,
-    boundary: str = "drift",
     rate_policy: str = "error",
 ) -> np.ndarray:
     """Moment-matched tridiagonal rate matrix on the given grid."""
@@ -85,15 +83,10 @@ def tridiagonal_generator(
     gen[idx, idx + 1] = up
     gen[idx, idx] = -(lo + up)
 
-    if boundary == "drift":
-        gen[0, 1] = max(drift[0], 0.0) / h[0]
-        gen[0, 0] = -gen[0, 1]
-        gen[-1, -2] = max(-drift[-1], 0.0) / h[-1]
-        gen[-1, -1] = -gen[-1, -2]
-    elif boundary == "absorb":
-        pass  # zero rows
-    else:
-        raise GeneratorError(f"unknown boundary treatment {boundary!r}")
+    gen[0, 1] = max(drift[0], 0.0) / h[0]
+    gen[0, 0] = -gen[0, 1]
+    gen[-1, -2] = max(-drift[-1], 0.0) / h[-1]
+    gen[-1, -1] = -gen[-1, -2]
     return gen
 
 
@@ -103,7 +96,6 @@ def build_Q(
     market: MarketParams,
     kernel: KernelSpec,
     formulation: str = "stable",
-    boundary: str = "drift",
     rate_policy: str = "error",
 ) -> np.ndarray:
     """Variance-chain generator with drift (v-v0) Rhat + c b(v), diffusion (c sigma)^2."""
@@ -112,7 +104,7 @@ def build_Q(
     v = vgrid.nodes
     drift = (v - market.v0) * rhat + c * model.b(v)
     diff2 = (c * model.sigma(v)) ** 2
-    return tridiagonal_generator(vgrid, drift, diff2, boundary, rate_policy)
+    return tridiagonal_generator(vgrid, drift, diff2, rate_policy)
 
 
 def build_Lambda(
@@ -122,16 +114,12 @@ def build_Lambda(
     market: MarketParams,
     kernel: KernelSpec,
     formulation: str = "stable",
-    boundary: str = "drift",
     rate_policy: str = "error",
-    theta_variant: str = "lemma",
 ) -> np.ndarray:
     """Auxiliary-chain generator at frozen variance level v_ell."""
-    th = drift_theta(
-        xgrid.nodes, v_ell, model, market, kernel, formulation, theta_variant
-    )
+    th = drift_theta(xgrid.nodes, v_ell, model, market, kernel, formulation)
     diff2 = (1.0 - market.rho**2) * float(model.phi(v_ell)) ** 2
-    return tridiagonal_generator(xgrid, th, diff2, boundary, rate_policy)
+    return tridiagonal_generator(xgrid, th, diff2, rate_policy)
 
 
 def build_lambda_family(xgrid, vgrid, model, market, kernel, **kw) -> np.ndarray:
@@ -203,8 +191,6 @@ class GeneratorSet:
     market: MarketParams
     kernel: KernelSpec
     formulation: str = "stable"
-    theta_variant: str = "lemma"
-    boundary: str = "drift"
     rate_policy: str = "error"
     _coupled: sparse.csr_matrix | None = field(default=None, repr=False)
     _step_cache: dict = field(default_factory=dict, repr=False)
@@ -250,12 +236,9 @@ def assemble(
     kernel: KernelSpec,
     n: int = 100,
     m: int = 100,
-    style: str = "piecewise-uniform",
     v_bounds: tuple[float, float] | None = None,
     x_bounds: tuple[float, float] | None = None,
     formulation: str = "stable",
-    theta_variant: str = "lemma",
-    boundary: str = "drift",
     rate_policy: str = "upwind",
 ) -> GeneratorSet:
     """Build grids and both generator layers for one model/market/kernel.
@@ -264,25 +247,21 @@ def assemble(
     drift-dominated rows are expected near the variance floor for sqrt-type
     coefficient families at production grid sizes.
     """
-    vgrid = build_variance_grid(m, market, model, style, v_bounds)
-    xgrid = build_x_grid(
-        n, market, model, kernel, style, x_bounds, formulation, vgrid
-    )
+    vgrid = build_variance_grid(m, market, model, v_bounds)
+    xgrid = build_x_grid(n, market, model, kernel, x_bounds, formulation, vgrid)
     # coefficient positivity on the state rectangle
     v = vgrid.nodes
     if np.any(model.phi(v) <= 0) or np.any(model.sigma(v) <= 0):
         raise GeneratorError("phi or sigma not positive on the variance grid")
-    q = build_Q(vgrid, model, market, kernel, formulation, boundary, rate_policy)
+    q = build_Q(vgrid, model, market, kernel, formulation, rate_policy)
     lambdas = build_lambda_family(
         xgrid, vgrid, model, market, kernel,
-        formulation=formulation, boundary=boundary,
-        rate_policy=rate_policy, theta_variant=theta_variant,
+        formulation=formulation, rate_policy=rate_policy,
     )
     gens = GeneratorSet(
         q=q, lambdas=lambdas, vgrid=vgrid, xgrid=xgrid,
         model=model, market=market, kernel=kernel,
-        formulation=formulation, theta_variant=theta_variant,
-        boundary=boundary, rate_policy=rate_policy,
+        formulation=formulation, rate_policy=rate_policy,
     )
     if np.any(model.nu(gens.asset_states) <= 0):
         raise GeneratorError("nu not positive on the reconstructed asset states")

@@ -52,21 +52,18 @@ class Grid:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def check_regularity(self, c: float | None = None) -> None:
+    def check_regularity(self) -> None:
         """Verify max h <= C/M and max |h_i - h_{i+1}| <= C/M^2.
 
-        The default C depends on how asymmetrically the anchor splits the
-        span: with anchor fraction p the best two-panel split leaves a single
-        spacing jump of order span (1/p + 1/(1-p)) / (2 M^2).
+        C depends on how asymmetrically the anchor splits the span: with
+        anchor fraction p the best two-panel split leaves a single spacing
+        jump of order span (1/p + 1/(1-p)) / (2 M^2).
         """
         m = len(self.nodes)
         span = float(self.nodes[-1] - self.nodes[0])
-        if c is None:
-            p = (self.anchor - float(self.nodes[0])) / span
-            p = min(max(p, 0.5 / m), 1.0 - 0.5 / m)
-            cc = span * (1.0 / p + 1.0 / (1.0 - p))
-        else:
-            cc = float(c)
+        p = (self.anchor - float(self.nodes[0])) / span
+        p = min(max(p, 0.5 / m), 1.0 - 0.5 / m)
+        cc = span * (1.0 / p + 1.0 / (1.0 - p))
         h = self.spacings
         if h.max() > cc / m * (1 + 1e-12):
             raise GridError(f"max spacing {h.max():.3e} exceeds C/M = {cc / m:.3e}")
@@ -87,7 +84,10 @@ class Grid:
 
 
 def _two_panel(lo: float, hi: float, anchor: float, m: int) -> Grid:
-    """Two uniform panels joined at the anchor; minimizes |h_left - h_right|."""
+    """Two uniform panels joined at the anchor; minimizes |h_left - h_right|.
+
+    The result is checked against the spacing regularity bounds.
+    """
     if not lo < anchor < hi:
         raise GridError(f"anchor {anchor} must lie strictly inside ({lo}, {hi})")
     if m < 3:
@@ -108,47 +108,20 @@ def _two_panel(lo: float, hi: float, anchor: float, m: int) -> Grid:
     right = np.linspace(anchor, hi, cells - n_left + 1)
     nodes = np.concatenate([left, right[1:]])
     nodes[n_left] = anchor  # bit-exact anchor
-    return Grid(nodes=nodes, anchor_index=n_left)
-
-
-def _snapped_uniform(lo: float, hi: float, anchor: float, m: int) -> Grid:
-    """Plain uniform grid with the nearest node moved onto the anchor."""
-    if not lo < anchor < hi:
-        raise GridError(f"anchor {anchor} must lie strictly inside ({lo}, {hi})")
-    if m < 3:
-        raise GridError(f"need at least 3 nodes, got {m}")
-    nodes = np.linspace(lo, hi, m)
-    k = int(np.argmin(np.abs(nodes - anchor)))
-    k = min(max(k, 1), m - 2)
-    nodes[k] = anchor
-    if not np.all(np.diff(nodes) > 0):
-        raise GridError("anchor snap produced a non-increasing grid; increase M")
-    return Grid(nodes=nodes, anchor_index=k)
-
-
-def _build(lo, hi, anchor, m, style):
-    if style == "piecewise-uniform":
-        g = _two_panel(lo, hi, anchor, m)
-        g.check_regularity()
-        return g
-    if style == "uniform":
-        g = _snapped_uniform(lo, hi, anchor, m)
-        # a snapped cell can shift spacing by up to h/2 = O(1/M); allow it
-        g.check_regularity(c=2.0 * (hi - lo) * m / 4.0)
-        return g
-    raise GridError(f"unknown grid style {style!r}")
+    grid = Grid(nodes=nodes, anchor_index=n_left)
+    grid.check_regularity()
+    return grid
 
 
 def build_variance_grid(
     m: int,
     market: MarketParams,
     model: ModelSpec,
-    style: str = "piecewise-uniform",
     bounds: tuple[float, float] | None = None,
 ) -> Grid:
     """Variance grid on [1e-3 v0, 4 v0] by default, containing v0 exactly."""
     lo, hi = bounds if bounds is not None else (1e-3 * market.v0, 4.0 * market.v0)
-    return _build(lo, hi, market.v0, m, style)
+    return _two_panel(lo, hi, market.v0, m)
 
 
 def build_x_grid(
@@ -156,7 +129,6 @@ def build_x_grid(
     market: MarketParams,
     model: ModelSpec,
     kernel: KernelSpec,
-    style: str = "piecewise-uniform",
     bounds: tuple[float, float] | None = None,
     formulation: str = "stable",
     vgrid: Grid | None = None,
@@ -195,7 +167,7 @@ def build_x_grid(
         raise GridError(
             f"x-grid bounds ({lo:.6g}, {hi:.6g}) do not contain the anchor {x0:.6g}"
         )
-    return _build(lo, hi, x0, n, style)
+    return _two_panel(lo, hi, x0, n)
 
 
 def locate(grid: Grid, value: float) -> int:

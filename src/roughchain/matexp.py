@@ -3,8 +3,6 @@ action exp(G t) w for large sparse generators via uniformization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm as _expm_pade
@@ -12,43 +10,26 @@ from scipy.special import gammaln
 
 from .errors import GeneratorError, NumericalError
 
-__all__ = ["ExpmPlan", "expm_dense", "expm_action"]
+__all__ = ["expm_dense", "expm_action"]
 
-_DENSE_CAP_DEFAULT = 1024
 _SEGMENT_MEAN = 400.0  # Poisson mean per uniformization segment (weights stay
                        # representable in double precision well below exp(-746))
 
 
-@dataclass
-class ExpmPlan:
-    """Options and caches for repeated exponentials of one generator."""
-
-    method: str = "auto"          # dense-scaling-squaring | uniformization | auto
-    tol: float = 1e-12
-    dense_cap: int = _DENSE_CAP_DEFAULT
-    nu: float | None = None       # uniformization rate bound, max |diagonal|
-    cached: np.ndarray | None = None  # one-step dense transition matrix
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise NumericalError("tol must be positive")
-
-
-def expm_dense(gen, t: float, plan: ExpmPlan | None = None) -> np.ndarray:
-    """Dense transition matrix exp(G t) of a generator.
+def expm_dense(gen, t: float, dense_cap: int = 1024) -> np.ndarray:
+    """Dense transition matrix exp(G t) of a generator of size <= dense_cap.
 
     Rows are checked to sum to one (1e-10) and entries to be nonnegative up
     to -1e-12; tiny negative round-off is clamped to zero after the check.
     """
-    plan = plan or ExpmPlan()
     g = np.asarray(gen.toarray() if sparse.issparse(gen) else gen, dtype=float)
     n = g.shape[0]
     if g.shape != (n, n):
         raise GeneratorError(f"expected a square matrix, got {g.shape}")
-    if n > plan.dense_cap:
+    if n > dense_cap:
         raise NumericalError(
-            f"dense exponential of size {n} exceeds cap {plan.dense_cap}; "
-            "use expm_action or raise ExpmPlan.dense_cap"
+            f"dense exponential of size {n} exceeds cap {dense_cap}; "
+            "use expm_action or raise dense_cap"
         )
     if t < 0:
         raise NumericalError("t must be nonnegative")

@@ -40,13 +40,10 @@ class McConfig:
     steps: int                 # time steps per unit maturity
     seed: int = 0
     antithetic: bool = False
-    scheme: str = "kernel-integrated-euler"
 
     def __post_init__(self):
         if self.paths < 1 or self.steps < 1:
             raise ParameterError("paths and steps must be >= 1")
-        if self.scheme != "kernel-integrated-euler":
-            raise ParameterError(f"unknown scheme {self.scheme!r}")
 
     def n_steps(self, horizon: float) -> int:
         return max(1, int(round(self.steps * horizon)))
@@ -122,13 +119,13 @@ def simulate_v(
     for b, m in enumerate(_batch_sizes(mc.paths)):
         rng = _batch_rng(mc.seed, b)
         db = _draw_normals(rng, m, k_steps, mc.antithetic) * np.sqrt(dt)
-        paths = _v_recursion(model, market.v0, times, wb, kb, db)
+        paths = _v_recursion(model, market.v0, wb, kb, db)
         out[start:start + m] = paths
         start += m
     return out
 
 
-def _v_recursion(model, v0, times, wb, kb, db):
+def _v_recursion(model, v0, wb, kb, db):
     m, k_steps = db.shape
     v = np.full((m, k_steps + 1), v0)
     b_hist = np.empty((m, k_steps))
@@ -180,16 +177,14 @@ def mc_price(
         dperp = _draw_normals(rng, m, k_steps, mc.antithetic) * np.sqrt(dt)
         dw = rho * db + np.sqrt(1.0 - rho * rho) * dperp
 
-        v = np.full(m, market.v0)
-        b_hist = np.empty((m, k_steps))
-        s_hist = np.empty((m, k_steps))
+        v = _v_recursion(model, market.v0, wb, kb, db)
         if log_asset:
             r_minus_q = float(model.mu(1.0, market.v0))  # mu = (r-q) s
             log_s = np.full(m, np.log(market.s0))
         else:
             s = np.full(m, market.s0)
         for k in range(k_steps):
-            vp = _v_positive_part(v, model)
+            vp = _v_positive_part(v[:, k], model)
             phi = model.phi(vp)
             if log_asset:
                 log_s += (r_minus_q - 0.5 * phi**2) * dt + phi * dw[:, k]
@@ -197,10 +192,6 @@ def mc_price(
                 s += model.mu(s, vp) * dt + phi * model.nu(s) * dw[:, k]
                 if model.asset_domain == "positive":
                     s = np.maximum(s, 0.0)
-            b_hist[:, k] = model.b(vp)
-            s_hist[:, k] = model.sigma(vp) * db[:, k]
-            v = market.v0 + b_hist[:, :k + 1] @ wb[k, :k + 1] \
-                + s_hist[:, :k + 1] @ kb[k, :k + 1]
         s_T = np.exp(log_s) if log_asset else s
         if option.kind == "call":
             pay = np.maximum(s_T - option.strike, 0.0)
@@ -237,26 +228,23 @@ def estimate_l2_rate(
     eps_list = [float(e) for e in sorted(eps_list)]
     if len(eps_list) < 2:
         raise ParameterError("need at least two eps values to fit a slope")
-    gaps = []
-    for eps in eps_list:
-        spec_r = KernelSpec(hurst=hurst, eps=min(eps_list))
-        spec_p = KernelSpec(hurst=hurst, eps=eps)
-        acc = 0.0
-        count = 0
-        for b, m in enumerate(_batch_sizes(mc.paths)):
-            k_steps = mc.n_steps(horizon)
-            times = np.linspace(0.0, horizon, k_steps + 1)
-            dt = horizon / k_steps
-            rng = _batch_rng(mc.seed, b)
-            db = _draw_normals(rng, m, k_steps, mc.antithetic) * np.sqrt(dt)
-            wb_r, kb_r = _kernel_weights(times, spec_r.hurst, 0.0)
-            wb_p, kb_p = _kernel_weights(times, spec_p.hurst, eps)
-            v_rough = _v_recursion(model, market.v0, times, wb_r, kb_r, db)
-            v_pert = _v_recursion(model, market.v0, times, wb_p, kb_p, db)
-            diff = v_pert[:, -1] - v_rough[:, -1]
-            acc += float(np.sum(diff * diff))
-            count += m
-        gaps.append((eps, acc / count))
+    k_steps = mc.n_steps(horizon)
+    times = np.linspace(0.0, horizon, k_steps + 1)
+    dt = horizon / k_steps
+    wb_r, kb_r = _kernel_weights(times, hurst, 0.0)
+    weights = [_kernel_weights(times, hurst, eps) for eps in eps_list]
+    acc = [0.0] * len(eps_list)
+    count = 0
+    for b, m in enumerate(_batch_sizes(mc.paths)):
+        rng = _batch_rng(mc.seed, b)
+        db = _draw_normals(rng, m, k_steps, mc.antithetic) * np.sqrt(dt)
+        v_rough = _v_recursion(model, market.v0, wb_r, kb_r, db)[:, -1]
+        for i, (wb_p, kb_p) in enumerate(weights):
+            v_pert = _v_recursion(model, market.v0, wb_p, kb_p, db)[:, -1]
+            diff = v_pert - v_rough
+            acc[i] += float(np.sum(diff * diff))
+        count += m
+    gaps = [(eps, a / count) for eps, a in zip(eps_list, acc)]
     logs = np.log([g for _, g in gaps])
     slope = float(np.polyfit(np.log(eps_list), logs, 1)[0])
     return slope, gaps

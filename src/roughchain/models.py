@@ -58,6 +58,12 @@ class MarketParams:
     rho: float
 
     def __post_init__(self):
+        # integer inputs would otherwise type whole simulated paths as int
+        for name in ("s0", "v0", "rho"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except (TypeError, ValueError):
+                raise ParameterError(f"{name} must be a number") from None
         if not self.s0 > 0:
             raise ParameterError(f"s0 must be positive, got {self.s0}")
         if not abs(self.rho) < 1:
@@ -308,7 +314,6 @@ def drift_theta(
     market: MarketParams,
     kernel: KernelSpec,
     formulation: str = "stable",
-    variant: str = "lemma",
 ):
     """Drift of the auxiliary state X = g(S) - rho f(V) at (x, v).
 
@@ -316,13 +321,8 @@ def drift_theta(
     drift d(v) = (v - V0) Rhat + c b(v):
 
         theta = mu(s,v)/nu(s) - nu'(s) phi(v)^2 / 2
-                - (rho/2) c (sigma phi' - sigma' phi)(v)      [variant="lemma"]
+                - (rho/2) c (sigma phi' - sigma' phi)(v)
                 - rho d(v) phi(v) / (c sigma(v))
-
-    ``variant="discretized"`` replaces the middle term by
-    +(rho/2)(sigma phi' - sigma' phi)(v) with no scale factor, mirroring the
-    alternative printed form; the two coincide for every family in which
-    sigma phi' == sigma' phi (all but the 4/2 and alpha-hypergeometric).
     """
     c = chain_scale(kernel, formulation)
     _, _, rhat = laplace_constants(kernel)
@@ -332,17 +332,11 @@ def drift_theta(
     phi_v = model.phi(v)
     sig_v = model.sigma(v)
     wron = model.sigma(v) * model.phi_prime(v) - model.sigma_prime(v) * phi_v
-    if variant == "lemma":
-        mid = -0.5 * rho * c * wron
-    elif variant == "discretized":
-        mid = +0.5 * rho * wron
-    else:
-        raise ParameterError(f"unknown theta variant {variant!r}")
     d_v = (np.asarray(v, float) - market.v0) * rhat + c * model.b(v)
     out = (
         model.mu(s, v) / model.nu(s)
         - 0.5 * model.nu_prime(s) * phi_v**2
-        + mid
+        - 0.5 * rho * c * wron
         - rho * d_v * phi_v / (c * sig_v)
     )
     return float(out) if np.isscalar(x) and np.isscalar(v) else out

@@ -2,16 +2,14 @@
 
 Three evaluation routes share one payoff assembly:
 
-* ``price_european_coupled`` / ``price_barrier_coupled`` evaluate the exact
-  matrix-exponential formula e^{-rT} e_{i,l} exp(coupled T) Phi through the
-  uniformized action on the sparse NM x NM block generator.
-* ``price_fast`` avoids the big generator.  The default "sliced" variant is a
-  Strang product of the two decoupled factor semigroups (one M x M transition
-  matrix plus M cached N x N transition matrices, applied alternately over
-  time slices); it converges to the coupled price as slices grow and costs a
-  fraction of a second at production sizes.  The "frozen" variant is the
-  single-step terminal-regime formula
-  sum_j [exp(QT)]_{l0,j} e_{i0} exp(Lambda_j T) Phi_j.
+* ``price_european_coupled`` evaluates the exact matrix-exponential formula
+  e^{-rT} e_{i,l} exp(coupled T) Phi through the uniformized action on the
+  sparse NM x NM block generator; a barrier option only changes Phi.
+* ``price_fast`` avoids the big generator: a Strang product of the two
+  decoupled factor semigroups (one M x M transition matrix plus M cached
+  N x N transition matrices, applied alternately over time slices).  It
+  converges to the coupled price as slices grow and costs a fraction of a
+  second at production sizes.
 * ``price_bermudan`` runs the backward induction
   B_k = max(e^{-rT/n} exp(coupled T/n) B_{k+1}, Phi) with a cached dense
   one-step operator when NM fits the dense cap, otherwise repeated actions.
@@ -26,14 +24,13 @@ import numpy as np
 
 from .ctmc import GeneratorSet, validate_generator
 from .errors import DomainError, ParameterError
-from .matexp import ExpmPlan, expm_action, expm_dense
+from .matexp import expm_action, expm_dense
 
 __all__ = [
     "OptionSpec",
     "PriceResult",
     "payoff_vector",
     "price_european_coupled",
-    "price_barrier_coupled",
     "price_fast",
     "price_bermudan",
 ]
@@ -101,16 +98,16 @@ def _result(price, option, gens, method, t0, extra=None):
         "eps": gens.kernel.eps,
         "hurst": gens.kernel.hurst,
         "formulation": gens.formulation,
-        "boundary": gens.boundary,
         "rate_policy": gens.rate_policy,
         "kind": option.kind,
         "strike": option.strike,
         "maturity": option.maturity,
         "wall_time": time.perf_counter() - t0,
-        "validation": {
-            "q_max_abs_row_sum": validate_generator(gens.q)["max_abs_row_sum"],
-            "q_min_off_diagonal": validate_generator(gens.q)["min_off_diagonal"],
-        },
+    }
+    report = validate_generator(gens.q)
+    diag["validation"] = {
+        "q_max_abs_row_sum": report["max_abs_row_sum"],
+        "q_min_off_diagonal": report["min_off_diagonal"],
     }
     if extra:
         diag.update(extra)
@@ -128,15 +125,6 @@ def price_european_coupled(
     return _result(price, option, gens, "coupled", t0)
 
 
-def price_barrier_coupled(
-    option: OptionSpec, gens: GeneratorSet, tol: float = 1e-10
-) -> PriceResult:
-    """Coupled price of the terminal-barrier payoff (indicator at maturity only)."""
-    if option.barrier is None:
-        raise ParameterError("price_barrier_coupled needs option.barrier")
-    return price_european_coupled(option, gens, tol)
-
-
 def _auto_slices(gens: GeneratorSet, t: float, floor: int) -> int:
     """Slice count for the Strang product, scaled to the regime-chain stiffness.
 
@@ -150,12 +138,7 @@ def _auto_slices(gens: GeneratorSet, t: float, floor: int) -> int:
     return int(min(max(floor, np.ceil(16.0 * np.sqrt(max(nu_lam * t, 0.0)))), 4096))
 
 
-def price_fast(
-    option: OptionSpec,
-    gens: GeneratorSet,
-    variant: str = "sliced",
-    n_slices: int = 48,
-) -> PriceResult:
+def price_fast(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> PriceResult:
     """Decoupled pricer: M small exponentials instead of one NM x NM one.
 
     ``n_slices`` is a floor; stiff regime chains raise the count (see
@@ -165,39 +148,27 @@ def price_fast(
     pay = payoff_vector(option, gens)
     l0, i0 = gens.anchor_indices
     t_mat = option.maturity
-    plan = ExpmPlan(dense_cap=max(gens.n, gens.m) + 1)
+    cap = max(gens.n, gens.m) + 1
 
-    if variant == "sliced":
-        n_used = _auto_slices(gens, t_mat, n_slices)
-        dt = t_mat / n_used
-        key = ("sliced", n_used, t_mat)
-        if key in gens._step_cache:
-            pq_half, pq_full, p_lams = gens._step_cache[key]
-        else:
-            pq_half = expm_dense(gens.q, dt / 2.0, plan)
-            pq_full = expm_dense(gens.q, dt, plan)
-            p_lams = np.stack([expm_dense(lam, dt, plan) for lam in gens.lambdas])
-            gens._step_cache[key] = (pq_half, pq_full, p_lams)
-        # [PQh PL PQh]^n collapsed: adjacent half-steps merge into full steps
-        w = pq_half @ pay
-        for _ in range(n_used - 1):
-            w = np.matmul(p_lams, w[:, :, None])[:, :, 0]
-            w = pq_full @ w
-        w = np.matmul(p_lams, w[:, :, None])[:, :, 0]
-        w = pq_half @ w
-        price = np.exp(-option.rate * t_mat) * w[l0, i0]
-        extra = {"variant": variant, "n_slices": n_used}
-    elif variant == "frozen":
-        pq = expm_dense(gens.q, t_mat, plan)
-        inner = np.array(
-            [expm_dense(lam, t_mat, plan)[i0] @ pay[j]
-             for j, lam in enumerate(gens.lambdas)]
-        )
-        price = np.exp(-option.rate * t_mat) * float(pq[l0] @ inner)
-        extra = {"variant": variant}
+    n_used = _auto_slices(gens, t_mat, n_slices)
+    dt = t_mat / n_used
+    key = (n_used, t_mat)
+    if key in gens._step_cache:
+        pq_half, pq_full, p_lams = gens._step_cache[key]
     else:
-        raise ParameterError(f"unknown fast variant {variant!r}")
-    return _result(price, option, gens, "fast", t0, extra)
+        pq_half = expm_dense(gens.q, dt / 2.0, dense_cap=cap)
+        pq_full = expm_dense(gens.q, dt, dense_cap=cap)
+        p_lams = np.stack([expm_dense(lam, dt, dense_cap=cap) for lam in gens.lambdas])
+        gens._step_cache[key] = (pq_half, pq_full, p_lams)
+    # [PQh PL PQh]^n collapsed: adjacent half-steps merge into full steps
+    w = pq_half @ pay
+    for _ in range(n_used - 1):
+        w = np.matmul(p_lams, w[:, :, None])[:, :, 0]
+        w = pq_full @ w
+    w = np.matmul(p_lams, w[:, :, None])[:, :, 0]
+    w = pq_half @ w
+    price = np.exp(-option.rate * t_mat) * w[l0, i0]
+    return _result(price, option, gens, "fast", t0, {"n_slices": n_used})
 
 
 def price_bermudan(
@@ -222,8 +193,7 @@ def price_bermudan(
     size = gens.m * gens.n
 
     if size <= dense_cap:
-        plan = ExpmPlan(dense_cap=size)
-        step = expm_dense(gens.coupled, dt, plan)
+        step = expm_dense(gens.coupled, dt, dense_cap=size)
         values = pay.copy()
         for _ in range(n_dates):
             values = np.maximum(disc * (step @ values), pay)

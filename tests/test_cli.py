@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +53,10 @@ class TestConfig:
     def test_default_config_is_valid(self):
         cfg = default_config()
         assert parse_config({}) == cfg
+
+    def test_shipped_config_matches_default(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+        assert parse_config(json.loads(path.read_text())) == default_config()
 
 
 class TestPriceCommand:

@@ -28,7 +28,7 @@ class TestTridiagonalRows:
     def test_uniform_zero_drift_unit_diffusion(self):
         # h = 0.1: off-diagonals 1/(2 h^2) = 50, diagonal -100
         g = _grid(np.arange(0.0, 0.5, 0.1))
-        q = tridiagonal_generator(g, np.zeros(5), np.ones(5), boundary="absorb")
+        q = tridiagonal_generator(g, np.zeros(5), np.ones(5))
         assert q[2, 1] == pytest.approx(50.0, rel=1e-13)
         assert q[2, 3] == pytest.approx(50.0, rel=1e-13)
         assert q[2, 2] == pytest.approx(-100.0, rel=1e-13)
@@ -40,7 +40,7 @@ class TestTridiagonalRows:
         grid = _grid(nodes)
         drift = rng.normal(0, 0.2, 10)
         diff2 = rng.uniform(0.5, 1.5, 10)
-        q = tridiagonal_generator(grid, drift, diff2, boundary="absorb")
+        q = tridiagonal_generator(grid, drift, diff2)
         for i in range(1, 9):
             hm = nodes[i] - nodes[i - 1]
             hp = nodes[i + 1] - nodes[i]
@@ -76,9 +76,7 @@ class TestTridiagonalRows:
         grid = _grid(np.linspace(0.0, 1.0, 6))
         drift = np.full(6, 0.5)
         diff2 = np.full(6, 1.0)
-        absorb = tridiagonal_generator(grid, drift, diff2, boundary="absorb")
-        assert np.all(absorb[0] == 0.0) and np.all(absorb[-1] == 0.0)
-        outflow = tridiagonal_generator(grid, drift, diff2, boundary="drift")
+        outflow = tridiagonal_generator(grid, drift, diff2)
         assert outflow[0, 1] == pytest.approx(0.5 / 0.2)  # positive drift leaves the floor
         assert np.all(outflow[-1] == 0.0)                 # positive drift at the cap: no outflow
 

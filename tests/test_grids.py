@@ -30,13 +30,6 @@ class TestVarianceGrid:
         with pytest.raises(GridError):
             build_variance_grid(2, market, heston)
 
-    def test_uniform_style_snaps_anchor(self, market, heston):
-        g = build_variance_grid(5, market, heston, style="uniform")
-        assert 0.04 in g.nodes
-        h = g.spacings
-        # spacings equal except around the snapped cell
-        assert np.isclose(h, h[0], rtol=0.5).all()
-
     def test_spacing_regularity(self, market, heston):
         g = build_variance_grid(100, market, heston)
         h = g.spacings

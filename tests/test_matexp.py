@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roughchain import ExpmPlan, NumericalError, expm_action, expm_dense
+from roughchain import NumericalError, expm_action, expm_dense
 
 from conftest import random_generator
 
@@ -31,7 +31,7 @@ class TestDense:
     def test_size_cap(self):
         g = random_generator(8, seed=3)
         with pytest.raises(NumericalError, match="cap"):
-            expm_dense(g, 1.0, ExpmPlan(dense_cap=4))
+            expm_dense(g, 1.0, dense_cap=4)
 
     def test_non_generator_rejected(self):
         a = np.array([[0.5, 0.2], [0.1, -0.3]])  # rows do not sum to zero
@@ -87,8 +87,3 @@ class TestAction:
         g = random_generator(4)
         with pytest.raises(NumericalError):
             expm_action(g, np.array([1.0, np.nan, 0.0, 0.0]), 1.0)
-
-
-def test_plan_validation():
-    with pytest.raises(NumericalError):
-        ExpmPlan(tol=0.0)

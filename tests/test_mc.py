@@ -82,6 +82,40 @@ class TestMcPrice:
         assert est == pytest.approx(10.0, abs=1e-12)
         assert se == 0.0
 
+    def test_direct_euler_without_volatility_keeps_spot(self, all_models, market, kernel):
+        # rough-sabr takes the direct Euler step; phi = 0 freezes S at s0
+        model = dataclasses.replace(
+            all_models["rough-sabr"],
+            phi=lambda v: np.zeros_like(np.asarray(v, float)),
+        )
+        mc = McConfig(paths=100, steps=16, seed=2)
+        est, se = mc_price(OptionSpec("call", 4.0, 1.0), model, market, kernel, mc)
+        assert est == 6.0
+        assert se == 0.0
+
+    def test_direct_euler_forward_is_martingale(self, all_models, market, kernel):
+        mc = McConfig(paths=4000, steps=32, seed=12)
+        est, se = mc_price(
+            OptionSpec("call", 0.0, 1.0), all_models["rough-sabr"], market, kernel, mc
+        )
+        assert se > 0.0
+        assert abs(est - market.s0) <= 3 * se
+
+    def test_integer_market_inputs_match_float(self, all_models, kernel):
+        ints = MarketParams(s0=10, v0=1, rho=0)
+        floats = MarketParams(s0=10.0, v0=1.0, rho=0.0)
+        opt = OptionSpec("call", 4.0, 0.5)
+        mc = McConfig(paths=64, steps=16, seed=3)
+        for name in ("rough-heston", "rough-sabr"):
+            model = all_models[name]
+            assert np.array_equal(
+                simulate_v(model, ints, mc, 0.5, kernel),
+                simulate_v(model, floats, mc, 0.5, kernel),
+            )
+            assert mc_price(opt, model, ints, kernel, mc) == mc_price(
+                opt, model, floats, kernel, mc
+            )
+
     def test_antithetic_mean_and_variance(self, heston, market, kernel):
         opt = OptionSpec("call", 4.0, 1.0)
         plain = mc_price(opt, heston, market, kernel, mc=McConfig(8000, 32, seed=3))

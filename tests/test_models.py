@@ -155,25 +155,17 @@ class TestDriftTheta:
         got = drift_theta(x, v0, sabr, market, kernel, "markov")
         assert got == pytest.approx(want, abs=1e-10)
 
-    def test_variants_coincide_when_wronskian_vanishes(self, heston, market, kernel):
-        x = np.log(12.0)
-        for v in (0.01, 0.08):
-            a = drift_theta(x, v, heston, market, kernel, variant="lemma")
-            b = drift_theta(x, v, heston, market, kernel, variant="discretized")
-            assert a == pytest.approx(b, abs=1e-13)
-
-    def test_variants_differ_for_42(self, all_models, market, kernel):
-        mod = all_models["rough-42"]
-        x = np.log(10.0)
-        a = drift_theta(x, 0.04, mod, market, kernel, variant="lemma")
-        b = drift_theta(x, 0.04, mod, market, kernel, variant="discretized")
-        assert a != pytest.approx(b, rel=1e-3)
-
 
 class TestMarketParams:
     def test_rho_domain(self):
         with pytest.raises(ParameterError):
             MarketParams(s0=10.0, v0=0.04, rho=-1.0)
+
+    def test_inputs_become_floats(self):
+        market = MarketParams(s0=10, v0=1, rho=0)
+        assert all(type(x) is float for x in (market.s0, market.v0, market.rho))
+        with pytest.raises(ParameterError):
+            MarketParams(s0="ten", v0=0.04, rho=0.0)
 
     def test_s0_positive(self):
         with pytest.raises(ParameterError):

@@ -9,7 +9,6 @@ from roughchain import (
     assemble,
     payoff_vector,
     price_bermudan,
-    price_barrier_coupled,
     price_european_coupled,
     price_fast,
 )
@@ -74,12 +73,6 @@ class TestEuropean:
         disc = price_fast(OptionSpec("call", 4.0, 1.0, rate=0.05), heston_system)
         assert disc.price < flat
 
-    def test_frozen_variant_is_close_but_distinct(self, heston_system):
-        sliced = price_fast(CALL, heston_system).price
-        frozen = price_fast(CALL, heston_system, variant="frozen").price
-        assert frozen != sliced
-        assert abs(frozen - sliced) <= 0.1 * sliced
-
     def test_diagnostics_fields(self, heston_system):
         res = price_fast(CALL, heston_system)
         d = res.diagnostics
@@ -105,24 +98,20 @@ class TestBarrier:
             payoff_vector(wide, heston_system), payoff_vector(CALL, heston_system)
         )
         assert (
-            price_barrier_coupled(wide, heston_system).price
+            price_european_coupled(wide, heston_system).price
             == price_european_coupled(CALL, heston_system).price
         )
 
     def test_barrier_below_money_is_zero(self, heston_system):
         dead = OptionSpec("call", 4.0, 1.0, barrier=(0.0, 3.9))
-        assert price_barrier_coupled(dead, heston_system).price == 0.0
+        assert price_european_coupled(dead, heston_system).price == 0.0
 
     def test_barrier_not_above_european(self, heston_system):
         barr = OptionSpec("call", 4.0, 1.0, barrier=(2.0, 15.0))
         assert (
-            price_barrier_coupled(barr, heston_system).price
+            price_european_coupled(barr, heston_system).price
             <= price_european_coupled(CALL, heston_system).price + 1e-12
         )
-
-    def test_requires_barrier(self, heston_system):
-        with pytest.raises(ParameterError):
-            price_barrier_coupled(CALL, heston_system)
 
 
 class TestBermudan:
