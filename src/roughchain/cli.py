@@ -79,6 +79,10 @@ def parse_config(doc: dict) -> dict:
             if key not in _SCHEMA[block]:
                 raise ConfigError(f"unknown key {block}.{key}")
         cfg[block].update(copy.deepcopy(entries))
+    for key in ("n_x", "m_v", "n_slices"):
+        value = cfg["numerics"][key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"numerics.{key} must be an integer, got {value!r}")
     return cfg
 
 
@@ -137,8 +141,6 @@ def _price_once(cfg: dict):
     gens = _build_system(cfg)
     option = _option_from(cfg)
     num = cfg["numerics"]
-    if option.bermudan_dates:
-        return price_bermudan(option, gens)
     if num["method"] == "coupled":
         return price_european_coupled(option, gens)
     if num["method"] == "fast":
@@ -276,7 +278,7 @@ def _selfcheck_cases():
         cfg_fwd["numerics"]["n_x"] = cfg_fwd["numerics"]["m_v"] = 50
         gens_fwd = _build_system(cfg_fwd)
         option = _option_from(cfg)
-        eu = price_european_coupled(option, gens).price
+        eu = price_fast(option, gens).price
         berm = price_bermudan(
             OptionSpec(option.kind, option.strike, option.maturity,
                        option.rate, bermudan_dates=1), gens).price
@@ -310,24 +312,10 @@ def _cmd_selfcheck(out) -> int:
     return 0 if failures == 0 else 4
 
 
-def _limit_threads(k: int | None):
-    if k is None:
-        return
-    os.environ.setdefault("OMP_NUM_THREADS", str(k))
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", str(k))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=k)
-    except Exception:
-        pass
-
-
 def run(command: str, config_path: str | None, overrides: list[str],
-        out=None, sweep: str = "eps", threads: int | None = None) -> int:
+        out=None, sweep: str = "eps") -> int:
     """Execute one workflow; returns the process exit code."""
     out = out or sys.stdout
-    _limit_threads(threads)
     try:
         if config_path is None:
             config_path = os.environ.get(_ENV_CONFIG)
@@ -377,17 +365,16 @@ def main(argv=None) -> int:
                         metavar="PATH=VALUE", help="override a config entry (repeatable)")
     parser.add_argument("--sweep", choices=["eps", "grid"], default="eps",
                         help="table sweep dimension")
-    parser.add_argument("--threads", type=int, default=None, help="BLAS thread budget")
     parser.add_argument("--out", help="write output to this file instead of stdout")
     args = parser.parse_args(argv)
 
     if args.out:
         buf = io.StringIO()
-        code = run(args.command, args.config, args.overrides, buf, args.sweep, args.threads)
+        code = run(args.command, args.config, args.overrides, buf, args.sweep)
         with open(args.out, "w") as fh:
             fh.write(buf.getvalue())
         return code
-    return run(args.command, args.config, args.overrides, sys.stdout, args.sweep, args.threads)
+    return run(args.command, args.config, args.overrides, sys.stdout, args.sweep)
 
 
 if __name__ == "__main__":

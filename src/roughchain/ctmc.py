@@ -192,8 +192,7 @@ class GeneratorSet:
     kernel: KernelSpec
     formulation: str = "stable"
     rate_policy: str = "error"
-    _coupled: sparse.csr_matrix | None = field(default=None, repr=False)
-    _step_cache: dict = field(default_factory=dict, repr=False)
+    _step_cache: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
     def m(self) -> int:
@@ -203,12 +202,10 @@ class GeneratorSet:
     def n(self) -> int:
         return len(self.xgrid)
 
-    @property
+    @cached_property
     def coupled(self) -> sparse.csr_matrix:
         """NM x NM block generator, built on first use."""
-        if self._coupled is None:
-            self._coupled = build_coupled(self.q, self.lambdas)
-        return self._coupled
+        return build_coupled(self.q, self.lambdas)
 
     @cached_property
     def asset_states(self) -> np.ndarray:
@@ -223,11 +220,6 @@ class GeneratorSet:
     def anchor_indices(self) -> tuple[int, int]:
         """(variance index l0, auxiliary index i0) of the initial state."""
         return self.vgrid.anchor_index, self.xgrid.anchor_index
-
-    @property
-    def flat_anchor(self) -> int:
-        l0, i0 = self.anchor_indices
-        return l0 * self.n + i0
 
 
 def assemble(

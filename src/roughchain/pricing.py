@@ -1,24 +1,27 @@
 """Option pricing on the two-layer chain.
 
-Three evaluation routes share one payoff assembly:
+Two routes share one payoff assembly and one backward loop over the
+exercise dates (a European is the one-date case without exercise):
 
-* ``price_european_coupled`` evaluates the exact matrix-exponential formula
-  e^{-rT} e_{i,l} exp(coupled T) Phi through the uniformized action on the
-  sparse NM x NM block generator; a barrier option only changes Phi.
-* ``price_fast`` avoids the big generator: a Strang product of the two
-  decoupled factor semigroups (one M x M transition matrix plus M cached
-  N x N transition matrices, applied alternately over time slices).  It
-  converges to the coupled price as slices grow and costs a fraction of a
-  second at production sizes.
-* ``price_bermudan`` runs the backward induction
-  B_k = max(e^{-rT/n} exp(coupled T/n) B_{k+1}, Phi) with a cached dense
-  one-step operator when NM fits the dense cap, otherwise repeated actions.
+* ``price_fast`` is the production route.  It avoids the big generator:
+  each date step is a Strang product of the two decoupled factor semigroups
+  (one M x M transition matrix plus M cached N x N transition matrices,
+  applied alternately over time slices).  It converges to the coupled price
+  as slices grow and costs a fraction of a second at production sizes.
+* ``price_european_coupled`` is the oracle.  Each date step applies the
+  exact exp(coupled t) through the uniformized action on the sparse NM x NM
+  block generator.
+
+A barrier option only changes the payoff; a Bermudan option applies
+B_k = max(e^{-r t} P(t) B_{k+1}, Phi) at each of its equally spaced dates.
+``price_bermudan`` is the fast route for an option that must carry dates.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -48,6 +51,14 @@ class OptionSpec:
     bermudan_dates: int | None = None
 
     def __post_init__(self):
+        for name in ("strike", "maturity", "rate"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except (TypeError, ValueError):
+                raise ParameterError(f"{name} must be a number") from None
+        dates = self.bermudan_dates
+        if dates is not None and (isinstance(dates, bool) or not isinstance(dates, Integral)):
+            raise ParameterError(f"bermudan_dates must be an integer, got {dates!r}")
         if self.kind not in ("call", "put"):
             raise ParameterError(f"kind must be 'call' or 'put', got {self.kind!r}")
         if self.strike < 0:
@@ -114,17 +125,6 @@ def _result(price, option, gens, method, t0, extra=None):
     return PriceResult(price=float(price), diagnostics=diag)
 
 
-def price_european_coupled(
-    option: OptionSpec, gens: GeneratorSet, tol: float = 1e-10
-) -> PriceResult:
-    """Exact coupled-chain price via the action of exp(coupled T) on the payoff."""
-    t0 = time.perf_counter()
-    pay = payoff_vector(option, gens).ravel()
-    value = expm_action(gens.coupled, pay, option.maturity, tol=tol)
-    price = np.exp(-option.rate * option.maturity) * value[gens.flat_anchor]
-    return _result(price, option, gens, "coupled", t0)
-
-
 def _auto_slices(gens: GeneratorSet, t: float, floor: int) -> int:
     """Slice count for the Strang product, scaled to the regime-chain stiffness.
 
@@ -138,74 +138,84 @@ def _auto_slices(gens: GeneratorSet, t: float, floor: int) -> int:
     return int(min(max(floor, np.ceil(16.0 * np.sqrt(max(nu_lam * t, 0.0)))), 4096))
 
 
-def price_fast(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> PriceResult:
-    """Decoupled pricer: M small exponentials instead of one NM x NM one.
+def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, tol: float):
+    """Advance the (M, N) value array w by time t under the chain.
 
-    ``n_slices`` is a floor; stiff regime chains raise the count (see
-    ``_auto_slices``).
+    With an int ``n_slices``: the Strang product PQh (PL PQ)^(n-1) PL PQh
+    over n slices of t/n, from step operators cached on ``gens`` per (n, t).
+    With None: the exact action exp(coupled t) w by uniformization to tol.
     """
-    t0 = time.perf_counter()
-    pay = payoff_vector(option, gens)
-    l0, i0 = gens.anchor_indices
-    t_mat = option.maturity
-    cap = max(gens.n, gens.m) + 1
-
-    n_used = _auto_slices(gens, t_mat, n_slices)
-    dt = t_mat / n_used
-    key = (n_used, t_mat)
-    if key in gens._step_cache:
-        pq_half, pq_full, p_lams = gens._step_cache[key]
-    else:
-        pq_half = expm_dense(gens.q, dt / 2.0, dense_cap=cap)
-        pq_full = expm_dense(gens.q, dt, dense_cap=cap)
-        p_lams = np.stack([expm_dense(lam, dt, dense_cap=cap) for lam in gens.lambdas])
+    if n_slices is None:
+        return expm_action(gens.coupled, w.ravel(), t, tol=tol).reshape(w.shape)
+    key = (n_slices, t)
+    if key not in gens._step_cache:
+        dt = t / n_slices
+        pq_half = expm_dense(gens.q, dt / 2.0)
+        pq_full = expm_dense(gens.q, dt)
+        p_lams = np.stack([expm_dense(lam, dt) for lam in gens.lambdas])
         gens._step_cache[key] = (pq_half, pq_full, p_lams)
+    pq_half, pq_full, p_lams = gens._step_cache[key]
     # [PQh PL PQh]^n collapsed: adjacent half-steps merge into full steps
-    w = pq_half @ pay
-    for _ in range(n_used - 1):
+    w = pq_half @ w
+    for _ in range(n_slices - 1):
         w = np.matmul(p_lams, w[:, :, None])[:, :, 0]
         w = pq_full @ w
     w = np.matmul(p_lams, w[:, :, None])[:, :, 0]
-    w = pq_half @ w
-    price = np.exp(-option.rate * t_mat) * w[l0, i0]
-    return _result(price, option, gens, "fast", t0, {"n_slices": n_used})
+    return pq_half @ w
 
 
-def price_bermudan(
-    option: OptionSpec,
-    gens: GeneratorSet,
-    tol: float = 1e-10,
-    dense_cap: int = 1024,
-) -> PriceResult:
-    """Backward induction over n equally spaced exercise dates.
+def _backward(option: OptionSpec, gens: GeneratorSet, n_slices, tol: float = 1e-10):
+    """Backward induction over the option's exercise dates (one if it has none).
 
-    One transition operator exp(coupled T/n) is reused across all dates: as a
-    cached dense matrix when NM is within dense_cap, otherwise through the
-    uniformized action (identical results, lower memory).
+    Each date step discounts and propagates; exercise, max(w, payoff), is
+    applied only when the option has dates, so a European is the one-date
+    case.  ``n_slices`` selects the route as in ``_propagate``; on the fast
+    route it is the floor of the total slice count, spread evenly over dates.
     """
+    t0 = time.perf_counter()
+    pay = payoff_vector(option, gens)
+    dates = option.bermudan_dates or 1
+    dt = option.maturity / dates
+    disc = np.exp(-option.rate * dt)
+    extra = {}
+    if option.bermudan_dates:
+        extra["bermudan_dates"] = dates
+    per_date = None
+    if n_slices is not None:
+        per_date = -(-_auto_slices(gens, option.maturity, n_slices) // dates)
+        extra["n_slices"] = per_date * dates
+    w = pay
+    for _ in range(dates):
+        w = disc * _propagate(gens, w, dt, per_date, tol)
+        if option.bermudan_dates:
+            w = np.maximum(w, pay)
+    l0, i0 = gens.anchor_indices
+    method = "coupled" if per_date is None else "fast"
+    return _result(w[l0, i0], option, gens, method, t0, extra)
+
+
+def price_fast(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> PriceResult:
+    """Production route: M small exponentials instead of one NM x NM one.
+
+    ``n_slices`` is a floor; stiff regime chains raise the count (see
+    ``_auto_slices``).  An option with ``bermudan_dates`` is exercised at
+    each date.
+    """
+    return _backward(option, gens, n_slices)
+
+
+def price_european_coupled(
+    option: OptionSpec, gens: GeneratorSet, tol: float = 1e-10
+) -> PriceResult:
+    """Oracle route: the exact coupled action exp(coupled t) on the payoff.
+
+    An option with ``bermudan_dates`` is exercised at each date.
+    """
+    return _backward(option, gens, None, tol)
+
+
+def price_bermudan(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> PriceResult:
+    """Bermudan price on the fast route; the option must carry dates."""
     if option.bermudan_dates is None:
         raise ParameterError("price_bermudan needs option.bermudan_dates")
-    t0 = time.perf_counter()
-    n_dates = option.bermudan_dates
-    dt = option.maturity / n_dates
-    disc = np.exp(-option.rate * dt)
-    pay = payoff_vector(option, gens).ravel()
-    size = gens.m * gens.n
-
-    if size <= dense_cap:
-        step = expm_dense(gens.coupled, dt, dense_cap=size)
-        values = pay.copy()
-        for _ in range(n_dates):
-            values = np.maximum(disc * (step @ values), pay)
-        mode = "dense-step"
-    else:
-        coupled = gens.coupled
-        values = pay.copy()
-        for _ in range(n_dates):
-            values = np.maximum(disc * expm_action(coupled, values, dt, tol=tol), pay)
-        mode = "action-step"
-    price = values[gens.flat_anchor]
-    return _result(
-        price, option, gens, "bermudan", t0,
-        {"bermudan_dates": n_dates, "step_mode": mode},
-    )
+    return _backward(option, gens, n_slices)

@@ -249,7 +249,7 @@ def test_criterion_6_pricing_identities():
     # amounts to ~0.2% and is the same artifact visible in the published
     # American-vs-European gaps at zero rates (see project notes)
     gens = system("rough-heston", size=40)
-    eu = price_european_coupled(EUROPEAN, gens).price
+    eu = price_fast(EUROPEAN, gens).price
     b1 = price_bermudan(OptionSpec("call", 4.0, 1.0, bermudan_dates=1), gens).price
     b16 = price_bermudan(OptionSpec("call", 4.0, 1.0, bermudan_dates=16), gens).price
     wide = OptionSpec("call", 4.0, 1.0, barrier=(0.0, 1e12))

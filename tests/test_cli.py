@@ -75,14 +75,26 @@ class TestPriceCommand:
         assert json.loads(out)["diagnostics"]["method"] == "coupled"
 
     def test_bermudan_route(self, tmp_path):
-        code, out = _run(
-            "price", tmp_path, config=SMALL, overrides=["numerics.bermudan_dates=4"]
-        )
-        assert code == 0
-        assert json.loads(out)["diagnostics"]["method"] == "bermudan"
+        for method in ("fast", "coupled"):
+            code, out = _run(
+                "price", tmp_path, config=SMALL,
+                overrides=["numerics.bermudan_dates=4", f"numerics.method={method}"],
+            )
+            assert code == 0
+            diag = json.loads(out)["diagnostics"]
+            assert diag["method"] == method and diag["bermudan_dates"] == 4
 
     def test_bad_parameter_exit_code(self, tmp_path):
         code, _ = _run("price", tmp_path, config=SMALL, overrides=["kernel.hurst=0.9"])
+        assert code == 2
+
+    @pytest.mark.parametrize("override", [
+        "numerics.bermudan_dates=2.5",
+        "option.strike=abc",
+        "numerics.n_x=30.5",
+    ])
+    def test_malformed_value_exit_code(self, tmp_path, override):
+        code, _ = _run("price", tmp_path, config=SMALL, overrides=[override])
         assert code == 2
 
     def test_numerical_failure_exit_code(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from roughchain import (
+    MODEL_NAMES,
     OptionSpec,
     ParameterError,
     assemble,
@@ -114,39 +115,52 @@ class TestBarrier:
         )
 
 
+# (European pricer, Bermudan pricer) of each route; identities compare a
+# route with itself
+ROUTES = {
+    "fast": (price_fast, price_bermudan),
+    "coupled": (price_european_coupled, price_european_coupled),
+}
+
+
 class TestBermudan:
     def test_single_date_equals_european(self, heston_system):
-        eu = price_european_coupled(CALL, heston_system).price
-        berm = price_bermudan(
-            OptionSpec("call", 4.0, 1.0, bermudan_dates=1), heston_system
-        ).price
-        assert abs(eu - berm) <= 1e-12 * max(1.0, eu)
+        for route, (european, bermudan) in ROUTES.items():
+            eu = european(CALL, heston_system).price
+            berm = bermudan(
+                OptionSpec("call", 4.0, 1.0, bermudan_dates=1), heston_system
+            ).price
+            assert abs(eu - berm) <= 1e-12 * max(1.0, eu), route
 
     def test_call_no_early_exercise(self, heston_system):
-        eu = price_european_coupled(CALL, heston_system).price
-        berm = price_bermudan(
-            OptionSpec("call", 4.0, 1.0, bermudan_dates=8), heston_system
-        ).price
-        assert abs(eu - berm) <= 1e-9 * max(1.0, eu)
+        for route, (european, bermudan) in ROUTES.items():
+            eu = european(CALL, heston_system).price
+            berm = bermudan(
+                OptionSpec("call", 4.0, 1.0, bermudan_dates=8), heston_system
+            ).price
+            assert abs(eu - berm) <= 1e-9 * max(1.0, eu), route
 
     def test_put_premium_monotone_in_nested_dates(self, heston_system):
-        prices = [
-            price_bermudan(
-                OptionSpec("put", 12.0, 1.0, rate=0.05, bermudan_dates=n),
-                heston_system,
-            ).price
-            for n in (1, 2, 4, 8)
-        ]
-        for a, b in zip(prices, prices[1:]):
-            assert b >= a - 1e-10
+        for route, (_, bermudan) in ROUTES.items():
+            prices = [
+                bermudan(
+                    OptionSpec("put", 12.0, 1.0, rate=0.05, bermudan_dates=n),
+                    heston_system,
+                ).price
+                for n in (1, 2, 4, 8)
+            ]
+            for a, b in zip(prices, prices[1:]):
+                assert b >= a - 1e-10, route
 
-    def test_dense_and_action_steps_agree(self, heston_system):
-        opt = OptionSpec("put", 12.0, 1.0, rate=0.05, bermudan_dates=6)
-        dense = price_bermudan(opt, heston_system, dense_cap=heston_system.m * heston_system.n)
-        action = price_bermudan(opt, heston_system, dense_cap=1)
-        assert dense.diagnostics["step_mode"] == "dense-step"
-        assert action.diagnostics["step_mode"] == "action-step"
-        assert abs(dense.price - action.price) <= 1e-9 * dense.price
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_fast_matches_coupled(self, name, all_models, market, kernel):
+        gens = assemble(all_models[name], market, kernel, n=30, m=30)
+        put = OptionSpec("put", 10.0, 1.0, bermudan_dates=50)
+        fast = price_bermudan(put, gens)
+        coupled = price_european_coupled(put, gens)
+        assert fast.diagnostics["method"] == "fast"
+        assert coupled.diagnostics["method"] == "coupled"
+        assert abs(fast.price - coupled.price) <= 5e-3 * coupled.price
 
     def test_requires_dates(self, heston_system):
         with pytest.raises(ParameterError):
