@@ -199,6 +199,9 @@ def _cmd_table(cfg: dict, provenance: dict, out, sweep: str) -> int:
 
 
 def _cmd_compare_mc(cfg: dict, provenance: dict, out) -> int:
+    if cfg["numerics"]["bermudan_dates"] is not None:
+        raise ConfigError("compare-mc cannot check a Bermudan price: mc_price has no "
+                          "early exercise; unset numerics.bermudan_dates")
     result = _price_once(cfg)
     model = make_model(cfg["model"]["name"], cfg["model"]["params"])
     market = MarketParams(**cfg["market"])

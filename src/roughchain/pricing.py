@@ -1,16 +1,16 @@
 """Option pricing on the two-layer chain.
 
-Two routes share one payoff assembly and one backward loop over the
-exercise dates (a European is the one-date case without exercise):
+Two routes share one payoff assembly and one Strang slice loop:
 
 * ``price_fast`` is the production route.  It avoids the big generator:
-  each date step is a Strang product of the two decoupled factor semigroups
-  (one M x M transition matrix plus M cached N x N transition matrices,
-  applied alternately over time slices).  It converges to the coupled price
-  as slices grow and costs a fraction of a second at production sizes.
-* ``price_european_coupled`` is the oracle.  Each date step applies the
-  exact exp(coupled t) through the uniformized action on the sparse NM x NM
-  block generator.
+  each slice is a Strang product of the two decoupled factor semigroups (one
+  M x M transition matrix plus M cached N x N ones).  A European or barrier
+  price is e^{-rT} p_T . payoff, where p_T, the law at T of the chain started
+  at the anchor, comes from one forward pass through the transposed product
+  and is cached per (n_slices, T): further strikes at T cost a dot product.
+  Bermudans run backward induction over their dates.
+* ``price_european_coupled`` is the oracle: backward induction for every
+  contract, each date step the exact exp(coupled t) by uniformization.
 
 A barrier option only changes the payoff; a Bermudan option applies
 B_k = max(e^{-r t} P(t) B_{k+1}, Phi) at each of its equally spaced dates.
@@ -134,15 +134,17 @@ def _auto_slices(gens: GeneratorSet, t: float, floor: int) -> int:
     route), with stiff regime chains (e.g. inverse-variance volatility terms)
     driving the count up.
     """
-    nu_lam = max(float(np.abs(np.diagonal(lam)).max()) for lam in gens.lambdas)
+    nu_lam = float(np.abs(np.diagonal(gens.lambdas, axis1=1, axis2=2)).max())
     return int(min(max(floor, np.ceil(16.0 * np.sqrt(max(nu_lam * t, 0.0)))), 4096))
 
 
-def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, tol: float):
+def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, tol: float,
+               forward: bool = False):
     """Advance the (M, N) value array w by time t under the chain.
 
     With an int ``n_slices``: the Strang product PQh (PL PQ)^(n-1) PL PQh
-    over n slices of t/n, from step operators cached on ``gens`` per (n, t).
+    over n slices of t/n, from step operators cached on ``gens`` per (n, t);
+    with ``forward``, w is a law and the transposed (palindromic) product acts.
     With None: the exact action exp(coupled t) w by uniformization to tol.
     """
     if n_slices is None:
@@ -153,8 +155,10 @@ def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, tol: float
         pq_half = expm_dense(gens.q, dt / 2.0)
         pq_full = expm_dense(gens.q, dt)
         p_lams = np.stack([expm_dense(lam, dt) for lam in gens.lambdas])
-        gens._step_cache[key] = (pq_half, pq_full, p_lams)
-    pq_half, pq_full, p_lams = gens._step_cache[key]
+        gens._step_cache[key] = {"ops": (pq_half, pq_full, p_lams)}
+    pq_half, pq_full, p_lams = gens._step_cache[key]["ops"]
+    if forward:
+        pq_half, pq_full, p_lams = pq_half.T, pq_full.T, p_lams.transpose(0, 2, 1)
     # [PQh PL PQh]^n collapsed: adjacent half-steps merge into full steps
     w = pq_half @ w
     for _ in range(n_slices - 1):
@@ -162,6 +166,28 @@ def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, tol: float
         w = pq_full @ w
     w = np.matmul(p_lams, w[:, :, None])[:, :, 0]
     return pq_half @ w
+
+
+def _terminal(gens: GeneratorSet, t: float, n_slices: int):
+    """Law p_T = (S^T)^n e_anchor at t of the fast route, and its diagnostics.
+
+    One forward pass; p_T is cached beside the step operators of (n, t).
+    Diagnostics: the forward defect p_T . s - s0 e^{(r-q)t} and wall masses.
+    """
+    hit = "law" in gens._step_cache.get((n_slices, t), {})
+    if not hit:
+        p = np.zeros((gens.m, gens.n))
+        p[gens.anchor_indices] = 1.0
+        p = _propagate(gens, p, t, n_slices, None, forward=True)
+        growth = gens.model.params.get("r", 0.0) - gens.model.params.get("q", 0.0)
+        walls = {"v_low": p[0], "v_high": p[-1], "x_low": p[:, 0], "x_high": p[:, -1]}
+        gens._step_cache[n_slices, t]["law"] = (p, {
+            "forward_defect": float(np.vdot(p, gens.asset_states)
+                                    - gens.market.s0 * np.exp(growth * t)),
+            "wall_mass": {wall: float(mass.sum()) for wall, mass in walls.items()},
+        })
+    p, diag = gens._step_cache[n_slices, t]["law"]
+    return p, dict(diag, terminal_cache_hit=hit)
 
 
 def _backward(option: OptionSpec, gens: GeneratorSet, n_slices, tol: float = 1e-10):
@@ -198,10 +224,18 @@ def price_fast(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> Pr
     """Production route: M small exponentials instead of one NM x NM one.
 
     ``n_slices`` is a floor; stiff regime chains raise the count (see
-    ``_auto_slices``).  An option with ``bermudan_dates`` is exercised at
-    each date.
+    ``_auto_slices``).  A European or barrier option is priced against the
+    cached terminal law (see ``_terminal``); an option with
+    ``bermudan_dates`` is exercised at each date by backward induction.
     """
-    return _backward(option, gens, n_slices)
+    if option.bermudan_dates:
+        return _backward(option, gens, n_slices)
+    t0 = time.perf_counter()
+    t = option.maturity
+    n = _auto_slices(gens, t, n_slices)
+    p, extra = _terminal(gens, t, n)
+    price = np.exp(-option.rate * t) * np.vdot(p, payoff_vector(option, gens))
+    return _result(price, option, gens, "fast", t0, dict(extra, n_slices=n))
 
 
 def price_european_coupled(

@@ -66,6 +66,11 @@ class TestPriceCommand:
         doc = json.loads(out)
         assert 5.0 < doc["price"] < 7.0
         assert len(doc["price_repr"].replace(".", "").replace("-", "").lstrip("0")) >= 15
+        diag = doc["diagnostics"]
+        assert type(diag["forward_defect"]) is float
+        assert sorted(diag["wall_mass"]) == ["v_high", "v_low", "x_high", "x_low"]
+        assert all(type(m) is float for m in diag["wall_mass"].values())
+        assert diag["terminal_cache_hit"] is False
 
     def test_coupled_method(self, tmp_path):
         code, out = _run(
@@ -122,16 +127,23 @@ class TestTableCommand:
 
 
 class TestCompareMc:
+    CFG = {
+        "numerics": {"n_x": 20, "m_v": 20, "n_slices": 32},
+        "mc": {"paths": 2000, "steps": 32, "seed": 1},
+    }
+
     def test_fields(self, tmp_path):
-        cfg = {
-            "numerics": {"n_x": 20, "m_v": 20, "n_slices": 32},
-            "mc": {"paths": 2000, "steps": 32, "seed": 1},
-        }
-        code, out = _run("compare-mc", tmp_path, config=cfg)
+        code, out = _run("compare-mc", tmp_path, config=self.CFG)
         assert code == 0
         doc = json.loads(out)
         assert {"ctmc_price", "mc_estimate", "mc_stderr", "z_score"} <= doc.keys()
         assert doc["mc_stderr"] > 0
+
+    def test_bermudan_refused(self, tmp_path):
+        # mc_price has no exercise, so it would score a Bermudan against a European
+        code, out = _run("compare-mc", tmp_path, config=self.CFG,
+                         overrides=["numerics.bermudan_dates=4"])
+        assert code == 2 and out == ""
 
 
 def test_env_var_config(tmp_path, monkeypatch):

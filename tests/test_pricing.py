@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from roughchain import (
     OptionSpec,
     ParameterError,
     assemble,
+    make_model,
     payoff_vector,
     price_bermudan,
     price_european_coupled,
     price_fast,
+    pricing,
 )
+from roughchain.presets import model_params
 
 CALL = OptionSpec("call", 4.0, 1.0)
 
@@ -90,6 +94,52 @@ class TestEuropean:
             gaps.append(abs(f - c) / c)
         assert gaps[-1] <= 1e-4
         assert gaps[-1] <= gaps[0]
+
+
+class TestTerminalLaw:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_law_is_a_probability(self, name, all_models, market, kernel):
+        gens = assemble(all_models[name], market, kernel, n=24, m=24)
+        p, _ = pricing._terminal(gens, 1.0, pricing._auto_slices(gens, 1.0, 48))
+        assert p.min() >= 0.0
+        assert abs(p.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_forward_pass_matches_backward(self, name, all_models, market, kernel):
+        # the same operators associated the other way: equal up to rounding
+        gens = assemble(all_models[name], market, kernel, n=24, m=24)
+        l0, i0 = gens.anchor_indices
+        for t, kind, strike, barrier, rate in itertools.product(
+            (0.25, 1.0), ("call", "put"), (0.0, 4.0, 7.0, 10.0, 13.0, 16.0),
+            (None, (2.0, 15.0)), (0.0, 0.05),
+        ):
+            option = OptionSpec(kind, strike, t, rate=rate, barrier=barrier)
+            n = pricing._auto_slices(gens, t, 48)
+            pay = payoff_vector(option, gens)
+            back = np.exp(-rate * t) * pricing._propagate(gens, pay, t, n, None)[l0, i0]
+            gap = abs(price_fast(option, gens).price - back)
+            assert gap <= 1e-11 and gap <= 1e-12 * abs(back), (option, gap)
+
+    def test_second_price_reuses_the_law(self, heston, market, kernel, monkeypatch):
+        gens = assemble(heston, market, kernel, n=24, m=24)
+        first = price_fast(CALL, gens)
+        calls = []
+        expm_dense = pricing.expm_dense
+        monkeypatch.setattr(
+            pricing, "expm_dense", lambda *a, **kw: calls.append(a) or expm_dense(*a, **kw)
+        )
+        second = price_fast(OptionSpec("put", 10.0, 1.0, barrier=(2.0, 15.0)), gens)
+        assert calls == []
+        assert first.diagnostics["terminal_cache_hit"] is False
+        assert second.diagnostics["terminal_cache_hit"] is True
+
+    def test_forward_defect(self, market, kernel):
+        r, q, t = 0.05, 0.02, 1.0
+        params = dict(model_params("rough-heston"), r=r, q=q)
+        gens = assemble(make_model("rough-heston", params), market, kernel, n=24, m=24)
+        res = price_fast(OptionSpec("call", 0.0, t, rate=r), gens)
+        want = np.exp(r * t) * res.price - market.s0 * np.exp((r - q) * t)
+        assert abs(res.diagnostics["forward_defect"] - want) <= 1e-12
 
 
 class TestBarrier:
