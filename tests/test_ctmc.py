@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from roughchain import (
     GeneratorError,
@@ -195,6 +196,13 @@ class TestCoupled:
             [q[1, 0] * np.eye(2), q[1, 1] * np.eye(2) + l2],
         ])
         assert np.array_equal(got, want)
+
+    def test_production_generator_is_five_diagonal(self, heston_system):
+        coupled, n = heston_system.coupled, heston_system.n
+        assert coupled.format == "dia"
+        assert sorted(coupled.offsets.tolist()) == [-n, -1, 0, 1, n]
+        want = np.kron(heston_system.q, np.eye(n)) + block_diag(*heston_system.lambdas)
+        assert np.array_equal(coupled.toarray(), want)
 
     def test_row_sums_and_shape(self, heston_system):
         coupled = heston_system.coupled

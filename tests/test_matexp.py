@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from roughchain import NumericalError, expm_action, expm_dense
 
@@ -70,18 +71,52 @@ class TestAction:
         out = expm_action(g, w, 2.0, tol=1e-12)
         assert out.min() >= -1e-12
 
-    def test_stiff_generator_uses_segments(self):
-        # nu*t far beyond one Poisson segment; must still match dense
+    def test_stiff_generator_matches_dense(self):
+        # nu*t = 2.97e4, as for rough-alpha-hyper's coupled generator at
+        # N = M = 48 and T = 0.5; the chain has then reached its stationary law pi
         g = random_generator(20, seed=8, scale=1.0) * 5e3
         w = np.random.default_rng(8).random(20)
-        act = expm_action(g, w, 1.0, tol=1e-12)
-        dense = expm_dense(g, 1.0) @ w
+        act = expm_action(g, w, 0.5, tol=1e-10)
+        dense = expm_dense(g, 0.5) @ w
         assert np.abs(act - dense).max() <= 1e-9
+        a = np.vstack([g.T, np.ones(20)])
+        pi = np.linalg.lstsq(a, np.r_[np.zeros(20), 1.0], rcond=None)[0]
+        assert np.abs(act - pi @ w).max() <= 1e-10  # truncation error at most tol
 
-    def test_segment_budget(self):
+    def test_stop_is_reachable_for_large_vectors(self, monkeypatch):
+        # max|w| = 1e4 at tol 1e-10 asks for a right Poisson tail of 1e-14: the
+        # series must stop near lam + 7.7 sqrt(lam), not run to a term cap
+        g = sparse.csr_matrix(random_generator(20, seed=10))
+        lam = 2000.0
+        t = lam / np.abs(g.diagonal()).max()
+        w = np.linspace(-1e4, 1e4, 20)
+        products = []
+        matvec = sparse.csr_matrix._matmul_vector
+
+        def counted(self, x):
+            products.append(1)
+            return matvec(self, x)
+
+        monkeypatch.setattr(sparse.csr_matrix, "_matmul_vector", counted)
+        act = expm_action(g, w, t, tol=1e-10)
+        monkeypatch.undo()
+        assert len(products) <= lam + 8.0 * np.sqrt(lam) + 30.0
+        assert np.abs(act - expm_dense(g, t) @ w).max() <= 1e-9
+
+    def test_dia_and_csr_agree(self, heston_system):
+        g = heston_system.coupled
+        assert g.format == "dia"
+        w = np.random.default_rng(11).random(g.shape[0])
+        dia = expm_action(g, w, 0.05, tol=1e-12)
+        csr = expm_action(g.tocsr(), w, 0.05, tol=1e-12)
+        assert np.abs(dia - csr).max() <= 1e-14 * np.abs(csr).max()
+
+    def test_term_budget(self):
         g = random_generator(5, seed=9) * 1e9
-        with pytest.raises(NumericalError, match="segment"):
-            expm_action(g, np.ones(5), 1.0, max_segments=10)
+        with pytest.raises(NumericalError, match=r"nu\*t"):
+            expm_action(g, np.ones(5), 1.0, max_terms=1000)
+        with pytest.raises(NumericalError, match="terms"):
+            expm_action(g, np.ones(5), 1.0)  # nu*t ~ 1e9 exceeds the default budget
 
     def test_nonfinite_vector_rejected(self):
         g = random_generator(4)
