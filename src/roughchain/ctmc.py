@@ -49,24 +49,30 @@ def tridiagonal_generator(
     diff2: np.ndarray,
     rate_policy: str = "error",
 ) -> np.ndarray:
-    """Moment-matched tridiagonal rate matrix on the given grid."""
+    """Moment-matched tridiagonal rate matrix on the given grid.
+
+    ``drift`` of shape (..., n), with ``diff2`` broadcasting to it, gives a
+    stack of shape (..., n, n): one generator per row of the leading axes.
+    """
     nodes = grid.nodes
     n = len(nodes)
-    drift = np.broadcast_to(np.asarray(drift, float), (n,))
-    diff2 = np.broadcast_to(np.asarray(diff2, float), (n,))
+    shape = np.broadcast_shapes(np.shape(drift), np.shape(diff2), (n,))
+    drift = np.broadcast_to(np.asarray(drift, float), shape)
+    diff2 = np.broadcast_to(np.asarray(diff2, float), shape)
     if np.any(diff2 < 0):
         raise GeneratorError("negative squared diffusion input")
     h = grid.spacings
     hm, hp = h[:-1], h[1:]           # spacings left/right of interior nodes
-    d, s2 = drift[1:-1], diff2[1:-1]
+    d, s2 = drift[..., 1:-1], diff2[..., 1:-1]
 
     lo = (s2 - d * hp) / (hm * (hm + hp))
     up = (s2 + d * hm) / (hp * (hm + hp))
     bad = (lo < 0) | (up < 0)
     if np.any(bad):
         if rate_policy == "error":
-            i = 1 + int(np.argmax(bad))
-            need = abs(d[i - 1]) * (nodes[-1] - nodes[0]) / max(s2[i - 1], 1e-300)
+            first = np.unravel_index(np.argmax(bad), bad.shape)  # row-major: first row, first node
+            i = 1 + int(first[-1])
+            need = abs(d[first]) * (nodes[-1] - nodes[0]) / max(s2[first], 1e-300)
             raise GeneratorError(
                 f"negative transition rate at node {i} (state {nodes[i]:.6g}): "
                 f"|drift| h exceeds diffusion; roughly M >= {int(need) + 2} needed, "
@@ -77,16 +83,16 @@ def tridiagonal_generator(
         lo = np.where(bad, s2 / (hm * (hm + hp)) + np.maximum(-d, 0.0) / hm, lo)
         up = np.where(bad, s2 / (hp * (hm + hp)) + np.maximum(d, 0.0) / hp, up)
 
-    gen = np.zeros((n, n))
-    idx = np.arange(1, n - 1)
-    gen[idx, idx - 1] = lo
-    gen[idx, idx + 1] = up
-    gen[idx, idx] = -(lo + up)
+    gen = np.zeros(shape[:-1] + (n, n))
+    flat = gen.reshape(shape[:-1] + (n * n,))  # (i, i + o), 0 < i < n - 1: i (n + 1) + o
+    flat[..., n:n * (n - 1):n + 1] = lo
+    flat[..., n + 2:n * (n - 1):n + 1] = up
+    flat[..., n + 1:n * (n - 1):n + 1] = -(lo + up)
 
-    gen[0, 1] = max(drift[0], 0.0) / h[0]
-    gen[0, 0] = -gen[0, 1]
-    gen[-1, -2] = max(-drift[-1], 0.0) / h[-1]
-    gen[-1, -1] = -gen[-1, -2]
+    gen[..., 0, 1] = np.maximum(drift[..., 0], 0.0) / h[0]
+    gen[..., 0, 0] = -gen[..., 0, 1]
+    gen[..., -1, -2] = np.maximum(-drift[..., -1], 0.0) / h[-1]
+    gen[..., -1, -1] = -gen[..., -1, -2]
     return gen
 
 
@@ -109,31 +115,35 @@ def build_Q(
 
 def build_Lambda(
     xgrid: Grid,
-    v_ell: float,
+    v_ell: float | np.ndarray,
     model: ModelSpec,
     market: MarketParams,
     kernel: KernelSpec,
     formulation: str = "stable",
     rate_policy: str = "error",
 ) -> np.ndarray:
-    """Auxiliary-chain generator at frozen variance level v_ell."""
-    th = drift_theta(xgrid.nodes, v_ell, model, market, kernel, formulation)
-    diff2 = (1.0 - market.rho**2) * float(model.phi(v_ell)) ** 2
+    """Auxiliary-chain generator at frozen variance level v_ell.
+
+    An array of levels gives the stacked generators, shape v_ell.shape + (N, N).
+    """
+    v = np.asarray(v_ell, float)[..., None]
+    th = drift_theta(xgrid.nodes, v, model, market, kernel, formulation)
+    diff2 = (1.0 - market.rho**2) * model.phi(v) ** 2
     return tridiagonal_generator(xgrid, th, diff2, rate_policy)
 
 
 def build_lambda_family(xgrid, vgrid, model, market, kernel, **kw) -> np.ndarray:
-    """All regime generators stacked as an (M, N, N) array."""
-    return np.array(
-        [build_Lambda(xgrid, v, model, market, kernel, **kw) for v in vgrid.nodes]
-    )
+    """All regime generators stacked as an (M, N, N) array, built in one pass."""
+    return build_Lambda(xgrid, vgrid.nodes, model, market, kernel, **kw)
 
 
 def build_coupled(q: np.ndarray, lambdas: np.ndarray) -> sparse.dia_matrix:
     """NM x NM block rate matrix: block (l, j) = q_{lj} I_N, plus Lambda_l on the diagonal.
 
-    DIA format: tridiagonal Q and Lambda_l give the five diagonals {-N, -1, 0, 1, N},
-    on which a product with a vector is faster than in CSR.
+    DIA format, written from the diagonals: tridiagonal Q and Lambda_l give
+    the five diagonals {-N, -1, 0, 1, N}, on which a product with a vector is
+    faster than in CSR.  Column (l, i) of diagonal k holds entry
+    ((l, i) - k, (l, i)).
     """
     m = q.shape[0]
     n = lambdas.shape[-1]
@@ -141,12 +151,17 @@ def build_coupled(q: np.ndarray, lambdas: np.ndarray) -> sparse.dia_matrix:
         raise GeneratorError(
             f"shape mismatch: Q {q.shape} vs Lambdas {np.shape(lambdas)}"
         )
-    eye = sparse.identity(n, format="csr")
-    coupled = sparse.kron(sparse.csr_matrix(q), eye, format="csr")
-    coupled = coupled + sparse.block_diag(
-        [sparse.csr_matrix(lam) for lam in lambdas], format="csr"
+    data = np.zeros((5, m, n))
+    data[0, :-1] = np.diagonal(q, -1)[:, None]                   # q_{l+1, l}
+    data[1, :, :-1] = np.diagonal(lambdas, -1, 1, 2)             # Lambda_l[i+1, i]
+    data[2] = np.diagonal(q)[:, None] + np.diagonal(lambdas, 0, 1, 2)
+    data[3, :, 1:] = np.diagonal(lambdas, 1, 1, 2)               # Lambda_l[i-1, i]
+    data[4, 1:] = np.diagonal(q, 1)[:, None]                     # q_{l-1, l}
+    keep = [0, 2, 4] if n == 1 else slice(None)                  # N = 1: -1 is -N
+    return sparse.dia_matrix(
+        (data.reshape(5, m * n)[keep], np.array([-n, -1, 0, 1, n])[keep]),
+        shape=(m * n, m * n),
     )
-    return coupled.todia()
 
 
 def validate_generator(gen) -> dict:
@@ -210,6 +225,16 @@ class GeneratorSet:
     def coupled(self) -> sparse.dia_matrix:
         """NM x NM block generator, built on first use."""
         return build_coupled(self.q, self.lambdas)
+
+    @cached_property
+    def q_report(self) -> dict:
+        """``validate_generator`` report of Q, computed once per system."""
+        return validate_generator(self.q)
+
+    @cached_property
+    def nu_lambda(self) -> float:
+        """Largest exit rate of the regime chains, max_l max_i |Lambda_l[i, i]|."""
+        return float(np.abs(np.diagonal(self.lambdas, axis1=1, axis2=2)).max())
 
     @cached_property
     def asset_states(self) -> np.ndarray:

@@ -59,14 +59,14 @@ def _kernel_weights(times: np.ndarray, hurst: float, shift: float):
     gam = float(gamma_fn(a))
     k_steps = len(times) - 1
     dt = times[1] - times[0]
+    row, j = np.tril_indices(k_steps)      # row k - 1 holds j = 0 .. k - 1
+    hi = times[row + 1] + shift - times[j]       # t_k + shift - t_j
+    lo = times[row + 1] + shift - times[j + 1]   # t_k + shift - t_{j+1}
     wb = np.zeros((k_steps, k_steps))
     kb = np.zeros((k_steps, k_steps))
-    for k in range(1, k_steps + 1):
-        hi = times[k] + shift - times[:k]       # t_k + shift - t_j
-        lo = times[k] + shift - times[1:k + 1]  # t_k + shift - t_{j+1}
-        wb[k - 1, :k] = (hi**a - lo**a) / (a * gam)
-        k2 = (hi ** (2 * hurst) - lo ** (2 * hurst)) / (2 * hurst * gam**2)
-        kb[k - 1, :k] = np.sqrt(np.maximum(k2, 0.0) / dt)
+    wb[row, j] = (hi**a - lo**a) / (a * gam)
+    k2 = (hi ** (2 * hurst) - lo ** (2 * hurst)) / (2 * hurst * gam**2)
+    kb[row, j] = np.sqrt(np.maximum(k2, 0.0) / dt)
     return wb, kb
 
 

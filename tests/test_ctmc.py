@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from roughchain import (
+    MODEL_NAMES,
     GeneratorError,
     build_coupled,
     build_Lambda,
+    build_lambda_family,
     build_Q,
     build_variance_grid,
     build_x_grid,
@@ -178,6 +180,32 @@ class TestBuildLambda:
         for i in range(1, 14):
             lo, up = lam[i, i - 1], lam[i, i + 1]
             assert min(lo, up) <= 1e-5 * max(lo, up, 1e-30)
+
+
+class TestBatchedBuild:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_family_is_the_stack_of_single_builds(self, name, all_models, market, kernel):
+        gens = assemble(all_models[name], market, kernel, n=24, m=24)
+        args = (all_models[name], market, kernel)
+        family = build_lambda_family(gens.xgrid, gens.vgrid, *args, rate_policy="upwind")
+        single = np.stack([
+            build_Lambda(gens.xgrid, v, *args, rate_policy="upwind") for v in gens.vgrid.nodes
+        ])
+        assert family.shape == (24, 24, 24)
+        assert np.all(np.abs(family - single) <= 1e-15 * np.abs(single))
+
+    def test_error_names_the_node_of_the_single_row_call(self):
+        grid = _grid(np.linspace(0.0, 1.0, 8))
+        drift = np.zeros((3, 8))
+        drift[1, 4:] = 50.0      # the first bad row: node 4
+        drift[2, 2:] = 50.0      # a later row, bad from node 2
+        diff2 = np.full((3, 1), 1e-3)
+        with pytest.raises(GeneratorError) as batched:
+            tridiagonal_generator(grid, drift, diff2, rate_policy="error")
+        with pytest.raises(GeneratorError) as single:
+            tridiagonal_generator(grid, drift[1], diff2[1], rate_policy="error")
+        assert "node 4 " in str(single.value)
+        assert str(batched.value) == str(single.value)
 
 
 class TestCoupled:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import expm as expm_pade
 
-from roughchain import NumericalError, expm_action, expm_dense
+from roughchain import MODEL_NAMES, NumericalError, assemble, expm_action, expm_dense, pricing
+from roughchain.ctmc import tridiagonal_generator
+from roughchain.grids import Grid
+from roughchain.matexp import _LAM_CAP, _TAIL, _series_length
 
 from conftest import random_generator
 
@@ -38,6 +42,56 @@ class TestDense:
         a = np.array([[0.5, 0.2], [0.1, -0.3]])  # rows do not sum to zero
         with pytest.raises(NumericalError, match="stochastic"):
             expm_dense(a, 1.0)
+
+
+def _tridiagonal_stack(k, n, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid(nodes=np.cumsum(rng.uniform(0.5, 1.5, n)), anchor_index=1)
+    drift, diff2 = rng.normal(0, 0.5, (k, n)), rng.uniform(1, 2, (k, 1))
+    return tridiagonal_generator(grid, drift, diff2, rate_policy="upwind")
+
+
+class TestBandStack:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_regime_family_matches_pade(self, name, all_models, market, kernel):
+        # the regime exponentials of one slice, at the slice length pricing uses
+        gens = assemble(all_models[name], market, kernel, n=24, m=24)
+        dt = 1.0 / pricing._auto_slices(gens, 1.0, 48)
+        got = expm_dense(gens.lambdas, dt)
+        want = np.stack([expm_pade(lam * dt) for lam in gens.lambdas])
+        assert np.abs(got - want).max() <= 1e-14
+        assert np.abs(got.sum(axis=-1) - 1.0).max() <= 1e-14
+        assert got.min() >= 0.0
+        if name == "rough-42":  # one stiff regime: its series runs at dt / 2^s
+            assert gens.nu_lambda * dt > _LAM_CAP
+
+    def test_stiff_member_is_scaled_and_squared(self):
+        stack = _tridiagonal_stack(3, 12, seed=12)
+        stack[1] *= 40.0
+        t = 30.0 / np.abs(np.diagonal(stack[1])).max()  # nu t = 30 on the stiff member
+        got = expm_dense(stack, t)
+        want = np.stack([expm_pade(g * t) for g in stack])
+        assert np.abs(got - want).max() <= 1e-13
+
+    def test_zero_time_is_identity(self):
+        got = expm_dense(_tridiagonal_stack(4, 6, seed=13), 0.0)
+        assert np.array_equal(got, np.broadcast_to(np.eye(6), (4, 6, 6)))
+
+    def test_non_generator_in_stack_rejected(self):
+        stack = _tridiagonal_stack(4, 8, seed=14)
+        stack[2, 3, 3] -= 0.7  # row 3 of member 2 loses rate: its rows no longer sum to 0
+        with pytest.raises(NumericalError, match="stochastic"):
+            expm_dense(stack, 0.5)
+
+    def test_series_length(self):
+        # the tail bound is reachable: 17 terms at nu t = 0.5, none at 0
+        lengths = _series_length(np.array([0.5, 0.0, _LAM_CAP]))
+        assert lengths[0] < 20 and lengths[1] == 0
+        for lam, j in zip((0.5, _LAM_CAP), lengths[[0, 2]]):
+            i = np.arange(j + 1, j + 60)
+            ratios = np.cumprod(lam / i)   # term_i / term_j
+            term_j = np.exp(-lam) * np.prod(lam / np.arange(1, j + 1))
+            assert term_j * ratios.sum() <= _TAIL
 
 
 class TestAction:

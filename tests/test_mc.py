@@ -148,6 +148,25 @@ class TestMcPrice:
         assert ba[0] <= eu[0]
 
 
+class TestKernelWeights:
+    @pytest.mark.parametrize("shift", [0.0, 1e-8])
+    def test_match_the_row_formulas(self, shift):
+        # row k - 1 from its own formulas, one row at a time: equal bit for bit
+        from roughchain.mc import _kernel_weights
+
+        times = np.linspace(0.0, 1.0, 257)
+        a, hurst = 0.62, 0.12
+        gam = float(gamma_fn(a))
+        wb, kb = _kernel_weights(times, hurst, shift)
+        assert not np.triu(wb, 1).any() and not np.triu(kb, 1).any()
+        for k in (1, 2, 100, 256):
+            hi = times[k] + shift - times[:k]
+            lo = times[k] + shift - times[1:k + 1]
+            k2 = (hi ** (2 * hurst) - lo ** (2 * hurst)) / (2 * hurst * gam**2)
+            assert np.array_equal(wb[k - 1, :k], (hi**a - lo**a) / (a * gam))
+            assert np.array_equal(kb[k - 1, :k], np.sqrt(np.maximum(k2, 0.0) / times[1]))
+
+
 class TestL2Rate:
     def test_deterministic_drift_gap_rate(self, heston, market):
         # sigma = 0, b = 2: gap(eps) = (2/Gamma(H+3/2)) |(T+eps)^a - eps^a - T^a|

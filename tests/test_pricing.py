@@ -85,6 +85,24 @@ class TestEuropean:
         assert d["wall_time"] >= 0.0
         assert d["validation"]["q_min_off_diagonal"] >= 0.0
 
+    def test_system_constants_computed_once(self, heston, market, kernel, monkeypatch):
+        from roughchain import ctmc
+
+        gens = assemble(heston, market, kernel, n=24, m=24)
+        report = ctmc.validate_generator(gens.q)
+        calls = []
+        monkeypatch.setattr(
+            ctmc, "validate_generator", lambda g: calls.append(g) or report
+        )
+        first = price_fast(CALL, gens)
+        second = price_fast(OptionSpec("put", 10.0, 0.5), gens)
+        assert len(calls) == 1
+        want = {"q_max_abs_row_sum": report["max_abs_row_sum"],
+                "q_min_off_diagonal": report["min_off_diagonal"]}
+        assert first.diagnostics["validation"] == second.diagnostics["validation"] == want
+        nu = np.abs(np.diagonal(gens.lambdas, axis1=1, axis2=2)).max()
+        assert gens.nu_lambda == nu
+
     def test_fast_coupled_gap_shrinks_with_grid(self, heston, market, kernel):
         gaps = []
         for size in (16, 24, 40):
