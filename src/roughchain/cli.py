@@ -79,10 +79,11 @@ def parse_config(doc: dict) -> dict:
             if key not in _SCHEMA[block]:
                 raise ConfigError(f"unknown key {block}.{key}")
         cfg[block].update(copy.deepcopy(entries))
-    for key in ("n_x", "m_v", "n_slices"):
-        value = cfg["numerics"][key]
+    for block, key in (("numerics", "n_x"), ("numerics", "m_v"), ("numerics", "n_slices"),
+                       ("mc", "paths"), ("mc", "steps"), ("mc", "seed")):
+        value = cfg[block][key]
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"numerics.{key} must be an integer, got {value!r}")
+            raise ConfigError(f"{block}.{key} must be an integer, got {value!r}")
     return cfg
 
 

@@ -22,11 +22,10 @@ of the kernel itself).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, NumericalError, ParameterError
 
@@ -66,7 +65,7 @@ class KernelSpec:
     @property
     def gamma_h(self) -> float:
         """Gamma(H + 1/2)."""
-        return float(gamma_fn(self.hurst + 0.5))
+        return math.gamma(self.hurst + 0.5)
 
     @property
     def k_eps(self) -> float:
@@ -101,12 +100,6 @@ def laplace_constants(spec: KernelSpec) -> tuple[float, float, float]:
     r = (1.0 + eps) ** (h - 0.5) / spec.gamma_h
     rhat = -(0.5 - h) / (1.0 + eps)
     return k_eps, r, rhat
-
-
-def _measure_density(g: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    h = spec.hurst
-    norm = spec.gamma_h * gamma_fn(0.5 - h)
-    return g ** (-h - 0.5) / norm
 
 
 def laplace_quadrature(
@@ -151,7 +144,10 @@ def laplace_quadrature(
     else:
         raise DomainError(f"unknown quadrature kind {kind!r}")
 
-    norm = spec.gamma_h * gamma_fn(0.5 - h)
+    # only this oracle integrates; scipy.integrate stays out of the package import
+    from scipy.integrate import quad
+
+    norm = spec.gamma_h * math.gamma(0.5 - h)
 
     # (0, 1): weight='alg' integrates f(g) * (g-0)^alpha with the singular
     # factor supplied analytically by the rule.

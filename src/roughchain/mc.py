@@ -19,10 +19,11 @@ order-independent stream splitting and bit-identical results for a fixed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import ParameterError
 from .kernel import KernelSpec
@@ -42,6 +43,10 @@ class McConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        for name in ("paths", "steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.paths < 1 or self.steps < 1:
             raise ParameterError("paths and steps must be >= 1")
 
@@ -56,7 +61,7 @@ def _kernel_weights(times: np.ndarray, hurst: float, shift: float):
     j >= k are zero.
     """
     a = hurst + 0.5
-    gam = float(gamma_fn(a))
+    gam = math.gamma(a)
     k_steps = len(times) - 1
     dt = times[1] - times[0]
     row, j = np.tril_indices(k_steps)      # row k - 1 holds j = 0 .. k - 1

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from roughchain.cli import apply_overrides, default_config, parse_config, run
+import roughchain
+from roughchain.cli import apply_overrides, default_config, main, parse_config, run
 
 
 def _run(command, tmp_path, config=None, overrides=(), sweep="eps"):
@@ -97,6 +101,10 @@ class TestPriceCommand:
         "numerics.bermudan_dates=2.5",
         "option.strike=abc",
         "numerics.n_x=30.5",
+        "mc.paths=1000.5",
+        "mc.paths=true",
+        "mc.steps=2.0",
+        "mc.seed=1.5",
     ])
     def test_malformed_value_exit_code(self, tmp_path, override):
         code, _ = _run("price", tmp_path, config=SMALL, overrides=[override])
@@ -144,6 +152,58 @@ class TestCompareMc:
         code, out = _run("compare-mc", tmp_path, config=self.CFG,
                          overrides=["numerics.bermudan_dates=4"])
         assert code == 2 and out == ""
+
+
+def _child_env():
+    """Environment for a child interpreter that imports this roughchain."""
+    env = {k: v for k, v in os.environ.items() if k != "ROUGHCHAIN_CONFIG"}
+    src = str(Path(roughchain.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestMain:
+    def test_out_file_holds_the_run_document(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL))
+        target = tmp_path / "price.json"
+        argv = ["price", "--config", str(cfg), "--set", "option.kind=put", "--out", str(target)]
+        assert main(argv) == 0
+        code, out = _run("price", tmp_path, config=SMALL, overrides=["option.kind=put"])
+        assert code == 0
+        written, printed = json.loads(target.read_text()), json.loads(out)
+        for doc in (written, printed):
+            doc["diagnostics"].pop("wall_time")
+        assert written == printed
+
+    def test_malformed_set_returns_2(self, tmp_path):
+        assert main(["price", "--set", "numerics.n_x=30.5"]) == 2
+        assert main(["price", "--set", "no-equals-sign"]) == 2
+
+    def test_module_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "roughchain", "price",
+             "--set", "numerics.n_x=20", "--set", "numerics.m_v=20"],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["diagnostics"]["n"] == doc["diagnostics"]["m"] == 20
+        assert 5.0 < doc["price"] < 7.0
+
+
+def test_import_leaves_unused_scipy_subpackages_out():
+    # pricing needs scipy.linalg and scipy.sparse; the quadrature oracle loads
+    # scipy.integrate on first use
+    code = (
+        "import sys, roughchain, roughchain.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_env_var_config(tmp_path, monkeypatch):

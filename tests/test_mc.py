@@ -9,6 +9,7 @@ from roughchain import (
     MarketParams,
     McConfig,
     OptionSpec,
+    ParameterError,
     estimate_l2_rate,
     mc_price,
     simulate_v,
@@ -75,6 +76,15 @@ class TestSimulateV:
 
 
 class TestMcPrice:
+    @pytest.mark.parametrize("field, value", [
+        ("paths", 1000.5), ("paths", True), ("steps", 2.0), ("seed", 1.5), ("seed", "7"),
+    ])
+    def test_non_integer_counts_rejected(self, field, value):
+        args = dict(paths=10, steps=4, seed=0)
+        args[field] = value
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            McConfig(**args)
+
     def test_degenerate_model_prices_spot_exactly(self, heston, market, kernel):
         model = _const_coeff_model(heston, b_const=0.0, sigma_const=0.0, phi_const=0.0)
         mc = McConfig(paths=100, steps=16, seed=2)
