@@ -1,9 +1,9 @@
 """Command-line interface: price, table, compare-mc and selfcheck workflows.
 
 Configuration is a single JSON document; every block mirrors one module's
-parameters and unknown keys are rejected.  ``--set path=value`` overrides
-individual entries (dotted paths, JSON-parsed values) and is recorded in the
-output provenance.  All numeric output is printed with 17 significant digits.
+parameters, and a block or key that ``default_config`` lacks is rejected.
+``--set path=value`` overrides individual entries (dotted paths, JSON-parsed
+values) and is recorded in the output provenance.  All numeric output is printed with 17 significant digits.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 selfcheck failure.
@@ -36,16 +36,10 @@ __all__ = ["default_config", "parse_config", "apply_overrides", "run", "main"]
 
 _ENV_CONFIG = "ROUGHCHAIN_CONFIG"
 
-_SCHEMA = {
-    "model": {"name", "params"},
-    "market": {"s0", "v0", "rho"},
-    "kernel": {"hurst", "eps"},
-    "numerics": {
-        "n_x", "m_v", "method", "formulation", "rate_policy", "n_slices",
-        "v_bounds", "x_bounds", "bermudan_dates",
-    },
-    "option": {"kind", "strike", "maturity", "rate", "barrier"},
-    "mc": {"paths", "steps", "seed", "antithetic"},
+# table sweeps: (column -> config entry it sets, swept values)
+_SWEEPS = {
+    "eps": ({"eps": ("kernel", "eps")}, (1e-4, 1e-5, 1e-6, 1e-7, 1e-8)),
+    "grid": ({"n": ("numerics", "n_x"), "m": ("numerics", "m_v")}, (20, 40, 60, 80, 100)),
 }
 
 
@@ -57,7 +51,7 @@ def default_config() -> dict:
         "kernel": dict(presets.BASE_KERNEL),
         "numerics": {
             "n_x": 100, "m_v": 100, "method": "fast",
-            "formulation": "stable", "rate_policy": "upwind", "n_slices": 48,
+            "formulation": "stable", "n_slices": 48,
             "v_bounds": None, "x_bounds": None, "bermudan_dates": None,
         },
         "option": dict(presets.BASE_OPTION, barrier=None),
@@ -66,17 +60,20 @@ def default_config() -> dict:
 
 
 def parse_config(doc: dict) -> dict:
-    """Validate a config document against the schema; returns a deep copy."""
+    """Validate a config document against the keys of ``default_config``.
+
+    Returns the defaults updated with deep copies of the document's entries.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     cfg = default_config()
     for block, entries in doc.items():
-        if block not in _SCHEMA:
+        if block not in cfg:
             raise ConfigError(f"unknown config block {block!r}")
         if not isinstance(entries, dict):
             raise ConfigError(f"config block {block!r} must be an object")
         for key in entries:
-            if key not in _SCHEMA[block]:
+            if key not in cfg[block]:
                 raise ConfigError(f"unknown key {block}.{key}")
         cfg[block].update(copy.deepcopy(entries))
     for block, key in (("numerics", "n_x"), ("numerics", "m_v"), ("numerics", "n_slices"),
@@ -124,7 +121,7 @@ def _build_system(cfg: dict) -> ctmc.GeneratorSet:
         n=num["n_x"], m=num["m_v"],
         v_bounds=tuple(num["v_bounds"]) if num["v_bounds"] else None,
         x_bounds=tuple(num["x_bounds"]) if num["x_bounds"] else None,
-        formulation=num["formulation"], rate_policy=num["rate_policy"],
+        formulation=num["formulation"],
     )
 
 
@@ -138,8 +135,7 @@ def _option_from(cfg: dict) -> OptionSpec:
     )
 
 
-def _price_once(cfg: dict):
-    gens = _build_system(cfg)
+def _price(cfg: dict, gens: ctmc.GeneratorSet):
     option = _option_from(cfg)
     num = cfg["numerics"]
     if num["method"] == "coupled":
@@ -150,7 +146,7 @@ def _price_once(cfg: dict):
 
 
 def _cmd_price(cfg: dict, provenance: dict, out) -> int:
-    result = _price_once(cfg)
+    result = _price(cfg, _build_system(cfg))
     doc = {
         "price": float(result.price),
         "price_repr": _fmt(result.price),
@@ -171,30 +167,23 @@ def _option_flavor(cfg) -> str:
 
 
 def _cmd_table(cfg: dict, provenance: dict, out, sweep: str) -> int:
+    if sweep not in _SWEEPS:
+        raise ConfigError(f"unknown sweep {sweep!r} (use 'eps' or 'grid')")
+    columns, points = _SWEEPS[sweep]
     name = cfg["model"]["name"]
     flavor = _option_flavor(cfg)
     bench = presets.REFERENCE_PRICES.get(name, {}).get(flavor)
     rows = []
-    if sweep == "eps":
-        header = "eps,price,benchmark,rel_error"
-        for eps in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
-            c = copy.deepcopy(cfg)
-            c["kernel"]["eps"] = eps
-            price = _price_once(c).price
-            rel = abs(price - bench) / bench if bench else float("nan")
-            rows.append(f"{_fmt(eps)},{_fmt(price)},{_fmt(bench or float('nan'))},{_fmt(rel)}")
-    elif sweep == "grid":
-        header = "n,m,price,benchmark,rel_error"
-        for size in (20, 40, 60, 80, 100):
-            c = copy.deepcopy(cfg)
-            c["numerics"]["n_x"] = c["numerics"]["m_v"] = size
-            price = _price_once(c).price
-            rel = abs(price - bench) / bench if bench else float("nan")
-            rows.append(f"{size},{size},{_fmt(price)},{_fmt(bench or float('nan'))},{_fmt(rel)}")
-    else:
-        raise ConfigError(f"unknown sweep {sweep!r} (use 'eps' or 'grid')")
+    for point in points:
+        c = copy.deepcopy(cfg)
+        for block, key in columns.values():
+            c[block][key] = point
+        price = _price(c, _build_system(c)).price
+        rel = abs(price - bench) / bench if bench else float("nan")
+        values = [point] * len(columns) + [price, bench or float("nan"), rel]
+        rows.append(",".join(map(_fmt, values)))
     out.write(f"# model={name} option={flavor} overrides={provenance['overrides']}\n")
-    out.write(header + "\n")
+    out.write(",".join([*columns, "price", "benchmark", "rel_error"]) + "\n")
     out.write("\n".join(rows) + "\n")
     return 0
 
@@ -203,13 +192,10 @@ def _cmd_compare_mc(cfg: dict, provenance: dict, out) -> int:
     if cfg["numerics"]["bermudan_dates"] is not None:
         raise ConfigError("compare-mc cannot check a Bermudan price: mc_price has no "
                           "early exercise; unset numerics.bermudan_dates")
-    result = _price_once(cfg)
-    model = make_model(cfg["model"]["name"], cfg["model"]["params"])
-    market = MarketParams(**cfg["market"])
-    kernel = KernelSpec(**cfg["kernel"])
+    gens = _build_system(cfg)
+    result = _price(cfg, gens)
     mcc = McConfig(**cfg["mc"])
-    option = _option_from(cfg)
-    estimate, stderr = mc_price(option, model, market, kernel, mcc)
+    estimate, stderr = mc_price(_option_from(cfg), gens.model, gens.market, gens.kernel, mcc)
     z = (result.price - estimate) / stderr if stderr > 0 else float("inf")
     doc = {
         "ctmc_price": float(result.price),
@@ -375,8 +361,9 @@ def main(argv=None) -> int:
     if args.out:
         buf = io.StringIO()
         code = run(args.command, args.config, args.overrides, buf, args.sweep)
-        with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
+        if buf.getvalue():  # a run that wrote nothing leaves the target as it was
+            with open(args.out, "w") as fh:
+                fh.write(buf.getvalue())
         return code
     return run(args.command, args.config, args.overrides, sys.stdout, args.sweep)
 

@@ -8,9 +8,9 @@ Interior rows of every chain solve the local moment-matching system
 
 whose closed-form solution is the nonuniform central difference.  When a row
 is drift-dominated (|drift| h > diff2) the central solution has a negative
-off-diagonal; the "upwind" policy repairs only those rows by the one-sided
-split that preserves the first moment exactly (at the cost of inflating the
-second by |drift| h), while the "error" policy raises.
+off-diagonal; only those rows are upwinded, by the one-sided split that
+preserves the first moment exactly (at the cost of inflating the second by
+|drift| h), so every row is a valid row of rates.
 
 Boundary rows keep only the outflow drift: the state leaves a truncation
 wall at its physical drift rate, with no one-sided diffusion.
@@ -47,15 +47,13 @@ def tridiagonal_generator(
     grid: Grid,
     drift: np.ndarray,
     diff2: np.ndarray,
-    rate_policy: str = "error",
 ) -> np.ndarray:
     """Moment-matched tridiagonal rate matrix on the given grid.
 
     ``drift`` of shape (..., n), with ``diff2`` broadcasting to it, gives a
     stack of shape (..., n, n): one generator per row of the leading axes.
     """
-    nodes = grid.nodes
-    n = len(nodes)
+    n = len(grid.nodes)
     shape = np.broadcast_shapes(np.shape(drift), np.shape(diff2), (n,))
     drift = np.broadcast_to(np.asarray(drift, float), shape)
     diff2 = np.broadcast_to(np.asarray(diff2, float), shape)
@@ -67,21 +65,9 @@ def tridiagonal_generator(
 
     lo = (s2 - d * hp) / (hm * (hm + hp))
     up = (s2 + d * hm) / (hp * (hm + hp))
-    bad = (lo < 0) | (up < 0)
-    if np.any(bad):
-        if rate_policy == "error":
-            first = np.unravel_index(np.argmax(bad), bad.shape)  # row-major: first row, first node
-            i = 1 + int(first[-1])
-            need = abs(d[first]) * (nodes[-1] - nodes[0]) / max(s2[first], 1e-300)
-            raise GeneratorError(
-                f"negative transition rate at node {i} (state {nodes[i]:.6g}): "
-                f"|drift| h exceeds diffusion; roughly M >= {int(need) + 2} needed, "
-                "or use rate_policy='upwind'"
-            )
-        if rate_policy != "upwind":
-            raise GeneratorError(f"unknown rate policy {rate_policy!r}")
-        lo = np.where(bad, s2 / (hm * (hm + hp)) + np.maximum(-d, 0.0) / hm, lo)
-        up = np.where(bad, s2 / (hp * (hm + hp)) + np.maximum(d, 0.0) / hp, up)
+    bad = (lo < 0) | (up < 0)        # drift-dominated rows: upwind
+    lo = np.where(bad, s2 / (hm * (hm + hp)) + np.maximum(-d, 0.0) / hm, lo)
+    up = np.where(bad, s2 / (hp * (hm + hp)) + np.maximum(d, 0.0) / hp, up)
 
     gen = np.zeros(shape[:-1] + (n, n))
     flat = gen.reshape(shape[:-1] + (n * n,))  # (i, i + o), 0 < i < n - 1: i (n + 1) + o
@@ -102,7 +88,6 @@ def build_Q(
     market: MarketParams,
     kernel: KernelSpec,
     formulation: str = "stable",
-    rate_policy: str = "error",
 ) -> np.ndarray:
     """Variance-chain generator with drift (v-v0) Rhat + c b(v), diffusion (c sigma)^2."""
     c = chain_scale(kernel, formulation)
@@ -110,7 +95,7 @@ def build_Q(
     v = vgrid.nodes
     drift = (v - market.v0) * rhat + c * model.b(v)
     diff2 = (c * model.sigma(v)) ** 2
-    return tridiagonal_generator(vgrid, drift, diff2, rate_policy)
+    return tridiagonal_generator(vgrid, drift, diff2)
 
 
 def build_Lambda(
@@ -120,7 +105,6 @@ def build_Lambda(
     market: MarketParams,
     kernel: KernelSpec,
     formulation: str = "stable",
-    rate_policy: str = "error",
 ) -> np.ndarray:
     """Auxiliary-chain generator at frozen variance level v_ell.
 
@@ -129,12 +113,13 @@ def build_Lambda(
     v = np.asarray(v_ell, float)[..., None]
     th = drift_theta(xgrid.nodes, v, model, market, kernel, formulation)
     diff2 = (1.0 - market.rho**2) * model.phi(v) ** 2
-    return tridiagonal_generator(xgrid, th, diff2, rate_policy)
+    return tridiagonal_generator(xgrid, th, diff2)
 
 
-def build_lambda_family(xgrid, vgrid, model, market, kernel, **kw) -> np.ndarray:
+def build_lambda_family(xgrid, vgrid, model, market, kernel,
+                        formulation: str = "stable") -> np.ndarray:
     """All regime generators stacked as an (M, N, N) array, built in one pass."""
-    return build_Lambda(xgrid, vgrid.nodes, model, market, kernel, **kw)
+    return build_Lambda(xgrid, vgrid.nodes, model, market, kernel, formulation)
 
 
 def build_coupled(q: np.ndarray, lambdas: np.ndarray) -> sparse.dia_matrix:
@@ -210,7 +195,6 @@ class GeneratorSet:
     market: MarketParams
     kernel: KernelSpec
     formulation: str = "stable"
-    rate_policy: str = "error"
     _step_cache: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
@@ -260,29 +244,19 @@ def assemble(
     v_bounds: tuple[float, float] | None = None,
     x_bounds: tuple[float, float] | None = None,
     formulation: str = "stable",
-    rate_policy: str = "upwind",
 ) -> GeneratorSet:
-    """Build grids and both generator layers for one model/market/kernel.
-
-    Unlike the low-level builders this defaults to rate_policy="upwind":
-    drift-dominated rows are expected near the variance floor for sqrt-type
-    coefficient families at production grid sizes.
-    """
+    """Build grids and both generator layers for one model/market/kernel."""
     vgrid = build_variance_grid(m, market, model, v_bounds)
     xgrid = build_x_grid(n, market, model, kernel, x_bounds, formulation, vgrid)
     # coefficient positivity on the state rectangle
     v = vgrid.nodes
     if np.any(model.phi(v) <= 0) or np.any(model.sigma(v) <= 0):
         raise GeneratorError("phi or sigma not positive on the variance grid")
-    q = build_Q(vgrid, model, market, kernel, formulation, rate_policy)
-    lambdas = build_lambda_family(
-        xgrid, vgrid, model, market, kernel,
-        formulation=formulation, rate_policy=rate_policy,
-    )
+    q = build_Q(vgrid, model, market, kernel, formulation)
+    lambdas = build_lambda_family(xgrid, vgrid, model, market, kernel, formulation)
     gens = GeneratorSet(
         q=q, lambdas=lambdas, vgrid=vgrid, xgrid=xgrid,
-        model=model, market=market, kernel=kernel,
-        formulation=formulation, rate_policy=rate_policy,
+        model=model, market=market, kernel=kernel, formulation=formulation,
     )
     if np.any(model.nu(gens.asset_states) <= 0):
         raise GeneratorError("nu not positive on the reconstructed asset states")

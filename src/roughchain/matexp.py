@@ -25,10 +25,12 @@ __all__ = ["expm_dense", "expm_action"]
 # out-of-the-money rough-sabr prices of 2e-6 to 5e-4 moved by 4e-17 to 5e-16.
 _TAIL = 1e-20
 _LAM_CAP = 1.0     # band series run at nu t <= _LAM_CAP (at most 20 terms), then square
+_DENSE_CAP = 1024  # largest generator expm_dense makes dense
+_MAX_TERMS = 4_000_000  # largest nu t expm_action sums a series for
 
 
-def expm_dense(gen, t: float, dense_cap: int = 1024) -> np.ndarray:
-    """Dense transition matrix exp(G t) of a generator of size <= dense_cap.
+def expm_dense(gen, t: float) -> np.ndarray:
+    """Dense transition matrix exp(G t) of a generator of size <= _DENSE_CAP.
 
     ``gen`` is one matrix or a (K, n, n) stack of tridiagonal generators (a
     stack is read by its three diagonals; rate outside them leaves rows short
@@ -40,10 +42,9 @@ def expm_dense(gen, t: float, dense_cap: int = 1024) -> np.ndarray:
     n = g.shape[-1]
     if g.ndim not in (2, 3) or g.shape[-2] != n:
         raise GeneratorError(f"expected a square matrix or a stack of them, got {g.shape}")
-    if n > dense_cap:
+    if n > _DENSE_CAP:
         raise NumericalError(
-            f"dense exponential of size {n} exceeds cap {dense_cap}; "
-            "use expm_action or raise dense_cap"
+            f"dense exponential of size {n} exceeds cap {_DENSE_CAP}; use expm_action"
         )
     if t < 0:
         raise NumericalError("t must be nonnegative")
@@ -141,13 +142,7 @@ def _band_terms(p: np.ndarray, lam: np.ndarray, length: np.ndarray, n: int) -> n
     return total
 
 
-def expm_action(
-    gen,
-    w: np.ndarray,
-    t: float,
-    tol: float = 1e-12,
-    max_terms: int = 4_000_000,
-) -> np.ndarray:
+def expm_action(gen, w: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
     """exp(G t) w by uniformization for a sparse (or dense) generator.
 
     With nu = max |G_ii|, P = I + G/nu (in the sparse format of ``gen``; dense
@@ -168,9 +163,9 @@ def expm_action(
     if nu == 0.0:
         return w.copy()
     lam = nu * t
-    if lam > max_terms:
+    if lam > _MAX_TERMS:
         raise NumericalError(
-            f"uniformization needs more than {max_terms} terms (nu*t = {lam:.3e}); "
+            f"uniformization needs more than {_MAX_TERMS} terms (nu*t = {lam:.3e}); "
             "the generator is too stiff for this budget"
         )
     # Poisson weights out to where they underflow (lam -+ 40 sd, +200 above), from

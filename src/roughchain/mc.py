@@ -75,23 +75,33 @@ def _kernel_weights(times: np.ndarray, hurst: float, shift: float):
     return wb, kb
 
 
-def _batch_sizes(total: int) -> list[int]:
-    sizes = [_BATCH] * (total // _BATCH)
-    if total % _BATCH:
-        sizes.append(total % _BATCH)
-    return sizes
-
-
-def _batch_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
-
-
 def _draw_normals(rng, m, k, antithetic):
     if antithetic:
         half = (m + 1) // 2
         z = rng.standard_normal((half, k))
         return np.concatenate([z, -z])[:m]
     return rng.standard_normal((m, k))
+
+
+def _batches(mc: McConfig, horizon: float, draws: int = 1):
+    """Time grid, step length and the Brownian increments of each batch of paths.
+
+    Returns (times, dt, batches): batches yields, per batch of at most _BATCH
+    paths, ``draws`` arrays of shape (m, steps), drawn in order from the
+    batch's stream ``Philox(key=seed).jumped(b)``.
+    """
+    k_steps = mc.n_steps(horizon)
+    times = np.linspace(0.0, horizon, k_steps + 1)
+    dt = horizon / k_steps
+
+    def batches():
+        for b, start in enumerate(range(0, mc.paths, _BATCH)):
+            m = min(_BATCH, mc.paths - start)
+            rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(b))
+            yield [_draw_normals(rng, m, k_steps, mc.antithetic) * np.sqrt(dt)
+                   for _ in range(draws)]
+
+    return times, dt, batches()
 
 
 def _v_positive_part(v, model: ModelSpec):
@@ -113,20 +123,11 @@ def simulate_v(
     ``perturbed=False`` uses the singular kernel (rough model);
     ``perturbed=True`` uses the shifted kernel with the given eps.
     """
-    k_steps = mc.n_steps(horizon)
-    times = np.linspace(0.0, horizon, k_steps + 1)
-    shift = kernel.eps if perturbed else 0.0
-    wb, kb = _kernel_weights(times, kernel.hurst, shift)
-    dt = horizon / k_steps
-
-    out = np.empty((mc.paths, k_steps + 1))
-    start = 0
-    for b, m in enumerate(_batch_sizes(mc.paths)):
-        rng = _batch_rng(mc.seed, b)
-        db = _draw_normals(rng, m, k_steps, mc.antithetic) * np.sqrt(dt)
-        paths = _v_recursion(model, market.v0, wb, kb, db)
-        out[start:start + m] = paths
-        start += m
+    times, _, batches = _batches(mc, horizon)
+    wb, kb = _kernel_weights(times, kernel.hurst, kernel.eps if perturbed else 0.0)
+    out = np.empty((mc.paths, len(times)))
+    for b, (db,) in enumerate(batches):
+        out[b * _BATCH:b * _BATCH + len(db)] = _v_recursion(model, market.v0, wb, kb, db)
     return out
 
 
@@ -165,21 +166,15 @@ def mc_price(
     sqrt(1-rho^2) dBperp.
     """
     horizon = option.maturity
-    k_steps = mc.n_steps(horizon)
-    times = np.linspace(0.0, horizon, k_steps + 1)
-    shift = kernel.eps if perturbed else 0.0
-    wb, kb = _kernel_weights(times, kernel.hurst, shift)
-    dt = horizon / k_steps
+    times, dt, batches = _batches(mc, horizon, draws=2)
+    wb, kb = _kernel_weights(times, kernel.hurst, kernel.eps if perturbed else 0.0)
     rho = market.rho
     log_asset = _is_log_asset(model)
 
     total = 0.0
     total_sq = 0.0
-    count = 0
-    for b, m in enumerate(_batch_sizes(mc.paths)):
-        rng = _batch_rng(mc.seed, b)
-        db = _draw_normals(rng, m, k_steps, mc.antithetic) * np.sqrt(dt)
-        dperp = _draw_normals(rng, m, k_steps, mc.antithetic) * np.sqrt(dt)
+    for db, dperp in batches:
+        m, k_steps = db.shape
         dw = rho * db + np.sqrt(1.0 - rho * rho) * dperp
 
         v = _v_recursion(model, market.v0, wb, kb, db)
@@ -198,18 +193,11 @@ def mc_price(
                 if model.asset_domain == "positive":
                     s = np.maximum(s, 0.0)
         s_T = np.exp(log_s) if log_asset else s
-        if option.kind == "call":
-            pay = np.maximum(s_T - option.strike, 0.0)
-        else:
-            pay = np.maximum(option.strike - s_T, 0.0)
-        if option.barrier is not None:
-            lo, up = option.barrier
-            pay = pay * ((s_T > lo) & (s_T < up))
-        pay = pay * np.exp(-option.rate * horizon)
+        pay = option.payoff(s_T) * np.exp(-option.rate * horizon)
         total += float(np.sum(pay))
         total_sq += float(np.sum(pay * pay))
-        count += m
 
+    count = mc.paths
     mean = total / count
     var = max(total_sq / count - mean * mean, 0.0) * count / max(count - 1, 1)
     stderr = np.sqrt(var / count)
@@ -233,23 +221,17 @@ def estimate_l2_rate(
     eps_list = [float(e) for e in sorted(eps_list)]
     if len(eps_list) < 2:
         raise ParameterError("need at least two eps values to fit a slope")
-    k_steps = mc.n_steps(horizon)
-    times = np.linspace(0.0, horizon, k_steps + 1)
-    dt = horizon / k_steps
+    times, _, batches = _batches(mc, horizon)
     wb_r, kb_r = _kernel_weights(times, hurst, 0.0)
     weights = [_kernel_weights(times, hurst, eps) for eps in eps_list]
     acc = [0.0] * len(eps_list)
-    count = 0
-    for b, m in enumerate(_batch_sizes(mc.paths)):
-        rng = _batch_rng(mc.seed, b)
-        db = _draw_normals(rng, m, k_steps, mc.antithetic) * np.sqrt(dt)
+    for (db,) in batches:
         v_rough = _v_recursion(model, market.v0, wb_r, kb_r, db)[:, -1]
         for i, (wb_p, kb_p) in enumerate(weights):
             v_pert = _v_recursion(model, market.v0, wb_p, kb_p, db)[:, -1]
             diff = v_pert - v_rough
             acc[i] += float(np.sum(diff * diff))
-        count += m
-    gaps = [(eps, a / count) for eps, a in zip(eps_list, acc)]
+    gaps = [(eps, a / mc.paths) for eps, a in zip(eps_list, acc)]
     logs = np.log([g for _, g in gaps])
     slope = float(np.polyfit(np.log(eps_list), logs, 1)[0])
     return slope, gaps

@@ -29,6 +29,8 @@ from .ctmc import GeneratorSet, validate_generator  # noqa: F401 (perfbench trac
 from .errors import DomainError, ParameterError
 from .matexp import expm_action, expm_dense
 
+_TOL = 1e-10  # max-norm truncation error of each coupled uniformization series
+
 __all__ = [
     "OptionSpec",
     "PriceResult",
@@ -72,6 +74,17 @@ class OptionSpec:
         if self.bermudan_dates is not None and self.bermudan_dates < 1:
             raise ParameterError("bermudan_dates must be >= 1")
 
+    def payoff(self, s: np.ndarray) -> np.ndarray:
+        """Call or put payoff at asset levels s, zero outside the open barrier (L, U)."""
+        if self.kind == "call":
+            pay = np.maximum(s - self.strike, 0.0)
+        else:
+            pay = np.maximum(self.strike - s, 0.0)
+        if self.barrier is not None:
+            lo, up = self.barrier
+            pay = pay * ((s > lo) & (s < up))
+        return pay
+
 
 @dataclass
 class PriceResult:
@@ -87,18 +100,9 @@ def payoff_vector(option: OptionSpec, gens: GeneratorSet) -> np.ndarray:
     """Terminal payoff on the product grid, shape (M, N).
 
     Entry [l, i] is phi(g^{-1}(x_i + rho f(v_l))); flat index l*N + i matches
-    the coupled generator's block layout.  The barrier variant zeroes entries
-    whose reconstructed asset level lies outside the open interval (L, U).
+    the coupled generator's block layout.
     """
-    s = gens.asset_states
-    if option.kind == "call":
-        pay = np.maximum(s - option.strike, 0.0)
-    else:
-        pay = np.maximum(option.strike - s, 0.0)
-    if option.barrier is not None:
-        lo, up = option.barrier
-        pay = pay * ((s > lo) & (s < up))
-    return pay
+    return option.payoff(gens.asset_states)
 
 
 def _result(price, option, gens, method, t0, extra=None):
@@ -109,7 +113,6 @@ def _result(price, option, gens, method, t0, extra=None):
         "eps": gens.kernel.eps,
         "hurst": gens.kernel.hurst,
         "formulation": gens.formulation,
-        "rate_policy": gens.rate_policy,
         "kind": option.kind,
         "strike": option.strike,
         "maturity": option.maturity,
@@ -137,17 +140,16 @@ def _auto_slices(gens: GeneratorSet, t: float, floor: int) -> int:
     return int(min(max(floor, np.ceil(16.0 * np.sqrt(max(gens.nu_lambda * t, 0.0)))), 4096))
 
 
-def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, tol: float,
-               forward: bool = False):
+def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: bool = False):
     """Advance the (M, N) value array w by time t under the chain.
 
     With an int ``n_slices``: the Strang product PQh (PL PQ)^(n-1) PL PQh
     over n slices of t/n, from step operators cached on ``gens`` per (n, t);
     with ``forward``, w is a law and the transposed (palindromic) product acts.
-    With None: the exact action exp(coupled t) w by uniformization to tol.
+    With None: the exact action exp(coupled t) w by uniformization to _TOL.
     """
     if n_slices is None:
-        return expm_action(gens.coupled, w.ravel(), t, tol=tol).reshape(w.shape)
+        return expm_action(gens.coupled, w.ravel(), t, tol=_TOL).reshape(w.shape)
     key = (n_slices, t)
     if key not in gens._step_cache:
         dt = t / n_slices
@@ -177,7 +179,7 @@ def _terminal(gens: GeneratorSet, t: float, n_slices: int):
     if not hit:
         p = np.zeros((gens.m, gens.n))
         p[gens.anchor_indices] = 1.0
-        p = _propagate(gens, p, t, n_slices, None, forward=True)
+        p = _propagate(gens, p, t, n_slices, forward=True)
         growth = gens.model.params.get("r", 0.0) - gens.model.params.get("q", 0.0)
         walls = {"v_low": p[0], "v_high": p[-1], "x_low": p[:, 0], "x_high": p[:, -1]}
         gens._step_cache[n_slices, t]["law"] = (p, {
@@ -189,7 +191,7 @@ def _terminal(gens: GeneratorSet, t: float, n_slices: int):
     return p, dict(diag, terminal_cache_hit=hit)
 
 
-def _backward(option: OptionSpec, gens: GeneratorSet, n_slices, tol: float = 1e-10):
+def _backward(option: OptionSpec, gens: GeneratorSet, n_slices):
     """Backward induction over the option's exercise dates (one if it has none).
 
     Each date step discounts and propagates; exercise, max(w, payoff), is
@@ -211,7 +213,7 @@ def _backward(option: OptionSpec, gens: GeneratorSet, n_slices, tol: float = 1e-
         extra["n_slices"] = per_date * dates
     w = pay
     for _ in range(dates):
-        w = disc * _propagate(gens, w, dt, per_date, tol)
+        w = disc * _propagate(gens, w, dt, per_date)
         if option.bermudan_dates:
             w = np.maximum(w, pay)
     l0, i0 = gens.anchor_indices
@@ -237,14 +239,12 @@ def price_fast(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> Pr
     return _result(price, option, gens, "fast", t0, dict(extra, n_slices=n))
 
 
-def price_european_coupled(
-    option: OptionSpec, gens: GeneratorSet, tol: float = 1e-10
-) -> PriceResult:
+def price_european_coupled(option: OptionSpec, gens: GeneratorSet) -> PriceResult:
     """Oracle route: the exact coupled action exp(coupled t) on the payoff.
 
     An option with ``bermudan_dates`` is exercised at each date.
     """
-    return _backward(option, gens, None, tol)
+    return _backward(option, gens, None)
 
 
 def price_bermudan(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> PriceResult:

@@ -111,10 +111,18 @@ class TestPriceCommand:
         assert code == 2
 
     def test_numerical_failure_exit_code(self, tmp_path):
+        # x-bounds that exclude the anchor: the grid cannot be built
         code, _ = _run(
-            "price", tmp_path, config=SMALL, overrides=["numerics.rate_policy=error"]
+            "price", tmp_path, config=SMALL, overrides=["numerics.x_bounds=[100, 200]"]
         )
         assert code == 3
+
+    def test_removed_rate_policy_key_rejected(self, tmp_path):
+        # upwinding is the one row rule; there is no switch to set
+        code, _ = _run(
+            "price", tmp_path, config=SMALL, overrides=["numerics.rate_policy=upwind"]
+        )
+        assert code == 2
 
 
 class TestTableCommand:
@@ -175,6 +183,12 @@ class TestMain:
         for doc in (written, printed):
             doc["diagnostics"].pop("wall_time")
         assert written == printed
+
+    def test_failed_run_leaves_out_file_untouched(self, tmp_path):
+        target = tmp_path / "keep.json"
+        target.write_text('{"price": 6.0}\n')
+        assert main(["price", "--set", "kernel.hurst=0.9", "--out", str(target)]) == 2
+        assert target.read_text() == '{"price": 6.0}\n'
 
     def test_malformed_set_returns_2(self, tmp_path):
         assert main(["price", "--set", "numerics.n_x=30.5"]) == 2

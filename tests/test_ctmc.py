@@ -58,18 +58,11 @@ class TestTridiagonalRows:
         q = tridiagonal_generator(grid, rng.normal(0, 1, 20), rng.uniform(1, 2, 20))
         assert np.abs(q.sum(axis=1)).max() <= 1e-12 * np.abs(np.diag(q)).max()
 
-    def test_negative_rate_error_names_node(self):
-        grid = _grid(np.linspace(0.0, 1.0, 6))
-        drift = np.full(6, 10.0)       # drift-dominated everywhere
-        diff2 = np.full(6, 1e-4)
-        with pytest.raises(GeneratorError, match="node"):
-            tridiagonal_generator(grid, drift, diff2, rate_policy="error")
-
     def test_upwind_preserves_first_moment(self):
         grid = _grid(np.linspace(0.0, 1.0, 12))
         drift = np.linspace(-8.0, 8.0, 12)
         diff2 = np.full(12, 1e-3)
-        q = tridiagonal_generator(grid, drift, diff2, rate_policy="upwind")
+        q = tridiagonal_generator(grid, drift, diff2)
         got = q @ grid.nodes
         assert np.abs(got[1:-1] - drift[1:-1]).max() <= 1e-10 * np.abs(drift).max()
         off = q - np.diag(np.diag(q))
@@ -105,7 +98,7 @@ class TestTridiagonalRows:
         nodes = np.cumsum(np.concatenate([[0.0], rng.uniform(0.5, 1.5, n - 1)]))
         drift = np.full(n, drift_level)
         diff2 = np.full(n, diff_level)
-        q = tridiagonal_generator(_grid(nodes), drift, diff2, rate_policy="upwind")
+        q = tridiagonal_generator(_grid(nodes), drift, diff2)
         assert np.abs(q.sum(axis=1)).max() <= 1e-10 * max(1.0, np.abs(q).max())
         assert (q - np.diag(np.diag(q))).min() >= 0.0
         got = (q @ nodes)[1:-1]
@@ -116,7 +109,7 @@ class TestBuildQ:
     def test_drift_and_diffusion_inputs(self, heston, market, kernel):
         vg = build_variance_grid(30, market, heston)
         for formulation in ("stable", "markov"):
-            q = build_Q(vg, heston, market, kernel, formulation, rate_policy="upwind")
+            q = build_Q(vg, heston, market, kernel, formulation)
             c = chain_scale(kernel, formulation)
             _, _, rhat = laplace_constants(kernel)
             v = vg.nodes
@@ -139,7 +132,7 @@ class TestBuildQ:
 
         spec = KernelSpec(hurst=0.12, eps=1e-6)
         vg = build_variance_grid(30, market, heston, bounds=(0.02, 0.06))
-        q = build_Q(vg, heston, market, spec, "stable", rate_policy="upwind")
+        q = build_Q(vg, heston, market, spec, "stable")
         i = vg.anchor_index
         hm, hp = vg.spacings[i - 1], vg.spacings[i]
         d = heston.b(market.v0)   # (v-v0) Rhat = 0 here
@@ -153,7 +146,7 @@ class TestBuildLambda:
         vg = build_variance_grid(10, market, heston)
         xg = build_x_grid(40, market, heston, kernel, vgrid=vg)
         v_ell = vg.nodes[5]
-        lam = build_Lambda(xg, v_ell, heston, market, kernel, rate_policy="upwind")
+        lam = build_Lambda(xg, v_ell, heston, market, kernel)
         want = drift_theta(xg.nodes, v_ell, heston, market, kernel)
         got = lam @ xg.nodes
         assert np.abs(got[1:-1] - want[1:-1]).max() <= 1e-10 * max(1.0, np.abs(want).max())
@@ -175,7 +168,7 @@ class TestBuildLambda:
         market = MarketParams(s0=10.0, v0=0.04, rho=0.9999999)
         vg = build_variance_grid(6, market, heston)
         xg = build_x_grid(15, market, heston, kernel, vgrid=vg)
-        lam = build_Lambda(xg, 0.04, heston, market, kernel, rate_policy="upwind")
+        lam = build_Lambda(xg, 0.04, heston, market, kernel)
         # essentially one off-diagonal per interior row
         for i in range(1, 14):
             lo, up = lam[i, i - 1], lam[i, i + 1]
@@ -187,25 +180,12 @@ class TestBatchedBuild:
     def test_family_is_the_stack_of_single_builds(self, name, all_models, market, kernel):
         gens = assemble(all_models[name], market, kernel, n=24, m=24)
         args = (all_models[name], market, kernel)
-        family = build_lambda_family(gens.xgrid, gens.vgrid, *args, rate_policy="upwind")
+        family = build_lambda_family(gens.xgrid, gens.vgrid, *args)
         single = np.stack([
-            build_Lambda(gens.xgrid, v, *args, rate_policy="upwind") for v in gens.vgrid.nodes
+            build_Lambda(gens.xgrid, v, *args) for v in gens.vgrid.nodes
         ])
         assert family.shape == (24, 24, 24)
         assert np.all(np.abs(family - single) <= 1e-15 * np.abs(single))
-
-    def test_error_names_the_node_of_the_single_row_call(self):
-        grid = _grid(np.linspace(0.0, 1.0, 8))
-        drift = np.zeros((3, 8))
-        drift[1, 4:] = 50.0      # the first bad row: node 4
-        drift[2, 2:] = 50.0      # a later row, bad from node 2
-        diff2 = np.full((3, 1), 1e-3)
-        with pytest.raises(GeneratorError) as batched:
-            tridiagonal_generator(grid, drift, diff2, rate_policy="error")
-        with pytest.raises(GeneratorError) as single:
-            tridiagonal_generator(grid, drift[1], diff2[1], rate_policy="error")
-        assert "node 4 " in str(single.value)
-        assert str(batched.value) == str(single.value)
 
 
 class TestCoupled:
