@@ -42,6 +42,7 @@ from .models import (
 from .pricing import (
     OptionSpec,
     PriceResult,
+    ladder_violations,
     payoff_vector,
     price_bermudan,
     price_european_coupled,

@@ -30,6 +30,7 @@ from .errors import DomainError, ParameterError
 from .matexp import expm_action, expm_dense
 
 _TOL = 1e-10  # max-norm truncation error of each coupled uniformization series
+_ROUNDOFF = 1e-10  # slack of the model-free ladder constraints
 
 __all__ = [
     "OptionSpec",
@@ -38,6 +39,7 @@ __all__ = [
     "price_european_coupled",
     "price_fast",
     "price_bermudan",
+    "ladder_violations",
 ]
 
 
@@ -252,3 +254,33 @@ def price_bermudan(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -
     if option.bermudan_dates is None:
         raise ParameterError("price_bermudan needs option.bermudan_dates")
     return _backward(option, gens, n_slices)
+
+
+def ladder_violations(kind, strikes, prices, s0, r, q, t) -> list[str]:
+    """Model-free breaches, one line each, along a European ladder at maturity t.
+
+    For ascending strikes K: a call lies in [(s0 e^{-qt} - K e^{-rt})+, s0 e^{-qt}]
+    (so the K = 0 call is the discounted forward), a put in [(K e^{-rt} -
+    s0 e^{-qt})+, K e^{-rt}] (Merton 1973); calls fall and puts rise in K; every
+    price is convex in K (Carr & Madan 2005).
+    """
+    spot, disc = s0 * np.exp(-q * t), np.exp(-r * t)
+    ladder = list(zip(strikes, prices))
+    out = []
+    for k, p in ladder:
+        if kind == "call":
+            lo, hi = max(spot - k * disc, 0.0), spot
+        else:
+            lo, hi = max(k * disc - spot, 0.0), k * disc
+        if not lo - _ROUNDOFF <= p <= hi + _ROUNDOFF:
+            out.append(f"{kind} K={k:g} {p:.17g} outside [{lo:.17g}, {hi:.17g}]")
+    sign, side = (-1.0, "above") if kind == "call" else (1.0, "below")
+    for (k1, p1), (k2, p2) in zip(ladder, ladder[1:]):
+        if sign * (p2 - p1) < -_ROUNDOFF:
+            out.append(f"{kind} K={k2:g} {p2:.17g} {side} {kind} K={k1:g} {p1:.17g}")
+    for (k1, p1), (k2, p2), (k3, p3) in zip(ladder, ladder[1:], ladder[2:]):
+        chord = p1 + (p3 - p1) * (k2 - k1) / (k3 - k1)
+        if p2 > chord + _ROUNDOFF:
+            out.append(f"{kind} K={k2:g} {p2:.17g} above the chord {chord:.17g} "
+                       f"of K={k1:g} and K={k3:g}")
+    return out

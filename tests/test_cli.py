@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import roughchain
+from roughchain import presets
 from roughchain.cli import apply_overrides, default_config, main, parse_config, run
 
 
@@ -230,7 +232,64 @@ def test_env_var_config(tmp_path, monkeypatch):
     assert json.loads(buf.getvalue())["diagnostics"]["n"] == 20
 
 
-def test_selfcheck_passes(tmp_path):
-    code, out = _run("selfcheck", tmp_path)
-    assert code == 0, out
-    assert "[FAIL]" not in out
+class TestSelfcheck:
+    # The default chains break the model-free ladder constraints (the grid's
+    # truncation domain and non-martingale rows); these tests pin that the
+    # check reports it.
+    def test_default_rough_heston_fails_its_ladder(self, tmp_path):
+        code, out = _run("selfcheck", tmp_path)
+        assert code == 4, out
+        assert "[FAIL] call K=0 " in out and "[FAIL] put K=16 " in out
+
+    def test_applies_the_configured_family(self, tmp_path):
+        code, out = _run("selfcheck", tmp_path, overrides=["model.name=rough-sabr"])
+        assert code == 4, out
+        assert "[FAIL] put K=12 " in out
+        assert out.splitlines()[-1].startswith("selfcheck: rough-sabr ")
+
+    def test_same_result_under_python_O(self):
+        argv = ["-m", "roughchain", "selfcheck", "--set", "numerics.n_x=20",
+                "--set", "numerics.m_v=20"]
+        plain, optimized = (subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                                           text=True, env=_child_env(), timeout=120)
+                            for flags in ([], ["-O"]))
+        assert plain.returncode == 4 and "[FAIL] call K=0 " in plain.stdout, plain.stderr
+        assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
+
+    def test_product_code_has_no_assert(self):
+        src = Path(roughchain.__file__).resolve().parent
+        for path in src.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            assert not any(isinstance(n, ast.Assert) for n in ast.walk(tree)), path.name
+
+
+class TestFamilySwitch:
+    def test_new_name_takes_its_preset_params(self, tmp_path):
+        code, out = _run("price", tmp_path, config=SMALL, overrides=["model.name=rough-sabr"])
+        assert code == 0, out
+        cfg = json.loads(out)["provenance"]["config"]
+        assert cfg["model"]["params"] == presets.model_params("rough-sabr")
+
+    def test_config_file_name_takes_its_preset_params(self, tmp_path):
+        doc = dict(SMALL, model={"name": "rough-heston-sabr"})
+        code, out = _run("price", tmp_path, config=doc)
+        assert code == 0, out
+        cfg = json.loads(out)["provenance"]["config"]
+        assert cfg["model"]["params"] == presets.model_params("rough-heston-sabr")
+
+    def test_preset_params_take_later_entry_overrides(self):
+        cfg = apply_overrides(default_config(),
+                              ["model.name=rough-sabr", "model.params.beta=0.5"])
+        assert cfg["model"]["params"] == dict(presets.model_params("rough-sabr"), beta=0.5)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_explicit_params_win(self, tmp_path, order):
+        params = {"sigma": 0.6, "beta": 0.5}
+        sets = ["model.name=rough-sabr", "model.params=" + json.dumps(params)][::order]
+        code, out = _run("price", tmp_path, config=SMALL, overrides=sets)
+        assert code == 0, out
+        doc = dict(SMALL, model={"name": "rough-sabr", "params": params})
+        code, whole = _run("price", tmp_path, config=doc)
+        assert code == 0, whole
+        assert json.loads(out)["price_repr"] == json.loads(whole)["price_repr"]
+        assert json.loads(out)["provenance"]["config"]["model"]["params"] == params

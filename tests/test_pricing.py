@@ -266,3 +266,49 @@ class TestTranslationInvariance:
         p0 = price_fast(CALL, base).price
         p1 = price_fast(CALL, moved).price
         assert abs(p0 - p1) <= 1e-10 * p0
+
+
+class TestLadderViolations:
+    """The model-free ladder rule on exact prices of a two-point terminal law."""
+
+    S0, R, Q, T = 10.0, 0.03, 0.01, 1.0
+    STRIKES = [2.0 * i for i in range(11)]
+
+    def prices(self, kind, shift=0.0):
+        # S_T in {1, 19} with mean s0 e^{(r-q)T} + shift; kinks at 1 and 19 only
+        fwd = self.S0 * np.exp((self.R - self.Q) * self.T) + shift
+        p_hi = (fwd - 1.0) / 18.0
+        sign = 1.0 if kind == "call" else -1.0
+        return [np.exp(-self.R * self.T) * ((1.0 - p_hi) * max(sign * (1.0 - k), 0.0)
+                                            + p_hi * max(sign * (19.0 - k), 0.0))
+                for k in self.STRIKES]
+
+    def violations(self, kind, prices):
+        return pricing.ladder_violations(kind, self.STRIKES, prices,
+                                         self.S0, self.R, self.Q, self.T)
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_martingale_law_priced_exactly_is_clean(self, kind):
+        assert self.violations(kind, self.prices(kind)) == []
+
+    def test_shifted_forward_breaks_the_zero_strike_call(self):
+        (line,) = self.violations("call", self.prices("call", shift=0.5))
+        assert line.startswith("call K=0 ") and "outside" in line
+
+    def test_put_below_its_lower_bound(self):
+        prices = self.prices("put")
+        prices[-1] -= 0.01
+        (line,) = self.violations("put", prices)
+        assert line.startswith("put K=20 ") and "outside" in line
+
+    def test_rising_call_is_not_monotone(self):
+        prices = self.prices("call")
+        prices[-1] = prices[-2] + 0.01
+        (line,) = self.violations("call", prices)
+        assert line.startswith("call K=20 ") and "above call K=18 " in line
+
+    def test_raised_call_is_not_convex(self):
+        prices = self.prices("call")
+        prices[5] += 0.01
+        (line,) = self.violations("call", prices)
+        assert line.startswith("call K=10 ") and "above the chord" in line
