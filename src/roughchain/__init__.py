@@ -5,7 +5,6 @@ from .ctmc import (
     GeneratorSet,
     assemble,
     build_coupled,
-    build_Lambda,
     build_lambda_family,
     build_Q,
     dump_triplets,
@@ -20,7 +19,7 @@ from .errors import (
     ParameterError,
     RoughChainError,
 )
-from .grids import Grid, build_variance_grid, build_x_grid, locate
+from .grids import Grid, build_variance_grid, build_x_grid
 from .kernel import (
     KernelSpec,
     fractional_kernel,

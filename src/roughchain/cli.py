@@ -5,9 +5,10 @@ parameters, and a block or key that ``default_config`` lacks is rejected.
 ``--set path=value`` overrides individual entries (dotted paths, JSON-parsed
 values) and is recorded in the output provenance.  All numeric output is printed with 17 significant digits.
 
+Every command discounts at the model's r, the rate the chain drifts at.
 ``selfcheck`` checks the configured family's European call and put ladder
 against the model-free constraints (``pricing.ladder_violations``); it ignores
-``numerics.method``, ``bermudan_dates`` and the option's kind, strike, rate, barrier.
+``numerics.method``, ``bermudan_dates`` and the option's kind, strike, barrier.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 a model-free price check failed.
@@ -136,18 +137,18 @@ def _build_system(cfg: dict) -> ctmc.GeneratorSet:
     )
 
 
-def _option_from(cfg: dict) -> OptionSpec:
+def _option_from(cfg: dict, gens: ctmc.GeneratorSet) -> OptionSpec:
     opt = cfg["option"]
     barrier = tuple(opt["barrier"]) if opt.get("barrier") else None
     return OptionSpec(
         kind=opt["kind"], strike=opt["strike"], maturity=opt["maturity"],
-        rate=opt.get("rate", 0.0), barrier=barrier,
+        rate=gens.model.rates[0], barrier=barrier,
         bermudan_dates=cfg["numerics"].get("bermudan_dates"),
     )
 
 
 def _price(cfg: dict, gens: ctmc.GeneratorSet):
-    option = _option_from(cfg)
+    option = _option_from(cfg, gens)
     num = cfg["numerics"]
     if num["method"] == "coupled":
         return price_european_coupled(option, gens)
@@ -206,7 +207,7 @@ def _cmd_compare_mc(cfg: dict, provenance: dict, out) -> int:
     gens = _build_system(cfg)
     result = _price(cfg, gens)
     mcc = McConfig(**cfg["mc"])
-    estimate, stderr = mc_price(_option_from(cfg), gens.model, gens.market, gens.kernel, mcc)
+    estimate, stderr = mc_price(_option_from(cfg, gens), gens.model, gens.market, gens.kernel, mcc)
     z = (result.price - estimate) / stderr if stderr > 0 else float("inf")
     doc = {
         "ctmc_price": float(result.price),
@@ -226,7 +227,7 @@ def _cmd_compare_mc(cfg: dict, provenance: dict, out) -> int:
 def _cmd_selfcheck(cfg: dict, out) -> int:
     gens = _build_system(cfg)
     s0 = gens.market.s0
-    r, q = (gens.model.params.get(key, 0.0) for key in ("r", "q"))
+    r, q = gens.model.rates
     strikes = [s0 * m for m in _LADDER]
     failures = []
     for kind in ("call", "put"):  # one cold p_T, then a dot product per strike

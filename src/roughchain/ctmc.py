@@ -34,7 +34,6 @@ __all__ = [
     "GeneratorSet",
     "tridiagonal_generator",
     "build_Q",
-    "build_Lambda",
     "build_lambda_family",
     "build_coupled",
     "validate_generator",
@@ -98,28 +97,23 @@ def build_Q(
     return tridiagonal_generator(vgrid, drift, diff2)
 
 
-def build_Lambda(
+def build_lambda_family(
     xgrid: Grid,
-    v_ell: float | np.ndarray,
+    levels: float | np.ndarray,
     model: ModelSpec,
     market: MarketParams,
     kernel: KernelSpec,
     formulation: str = "stable",
 ) -> np.ndarray:
-    """Auxiliary-chain generator at frozen variance level v_ell.
+    """Auxiliary-chain generators at frozen variance levels, built in one pass.
 
-    An array of levels gives the stacked generators, shape v_ell.shape + (N, N).
+    A scalar level gives one (N, N) generator; an array of levels gives the
+    stack, shape levels.shape + (N, N).
     """
-    v = np.asarray(v_ell, float)[..., None]
+    v = np.asarray(levels, float)[..., None]
     th = drift_theta(xgrid.nodes, v, model, market, kernel, formulation)
     diff2 = (1.0 - market.rho**2) * model.phi(v) ** 2
     return tridiagonal_generator(xgrid, th, diff2)
-
-
-def build_lambda_family(xgrid, vgrid, model, market, kernel,
-                        formulation: str = "stable") -> np.ndarray:
-    """All regime generators stacked as an (M, N, N) array, built in one pass."""
-    return build_Lambda(xgrid, vgrid.nodes, model, market, kernel, formulation)
 
 
 def build_coupled(q: np.ndarray, lambdas: np.ndarray) -> sparse.dia_matrix:
@@ -246,14 +240,14 @@ def assemble(
     formulation: str = "stable",
 ) -> GeneratorSet:
     """Build grids and both generator layers for one model/market/kernel."""
-    vgrid = build_variance_grid(m, market, model, v_bounds)
-    xgrid = build_x_grid(n, market, model, kernel, x_bounds, formulation, vgrid)
+    vgrid = build_variance_grid(m, market, v_bounds)
+    xgrid = build_x_grid(n, market, model, kernel, vgrid, x_bounds, formulation)
     # coefficient positivity on the state rectangle
     v = vgrid.nodes
     if np.any(model.phi(v) <= 0) or np.any(model.sigma(v) <= 0):
         raise GeneratorError("phi or sigma not positive on the variance grid")
     q = build_Q(vgrid, model, market, kernel, formulation)
-    lambdas = build_lambda_family(xgrid, vgrid, model, market, kernel, formulation)
+    lambdas = build_lambda_family(xgrid, vgrid.nodes, model, market, kernel, formulation)
     gens = GeneratorSet(
         q=q, lambdas=lambdas, vgrid=vgrid, xgrid=xgrid,
         model=model, market=market, kernel=kernel, formulation=formulation,

@@ -18,7 +18,7 @@ from .errors import GridError
 from .kernel import KernelSpec
 from .models import MarketParams, ModelSpec, transform_f
 
-__all__ = ["Grid", "build_variance_grid", "build_x_grid", "locate"]
+__all__ = ["Grid", "build_variance_grid", "build_x_grid"]
 
 # Big/small asset proxies used to bound transform images on open domains.
 _BIG_ASSET_MULT = 1e5
@@ -116,7 +116,6 @@ def _two_panel(lo: float, hi: float, anchor: float, m: int) -> Grid:
 def build_variance_grid(
     m: int,
     market: MarketParams,
-    model: ModelSpec,
     bounds: tuple[float, float] | None = None,
 ) -> Grid:
     """Variance grid on [1e-3 v0, 4 v0] by default, containing v0 exactly."""
@@ -129,14 +128,14 @@ def build_x_grid(
     market: MarketParams,
     model: ModelSpec,
     kernel: KernelSpec,
+    vgrid: Grid,
     bounds: tuple[float, float] | None = None,
     formulation: str = "stable",
-    vgrid: Grid | None = None,
 ) -> Grid:
     """Auxiliary grid anchored at X0 = g(S0) - rho f(V0).
 
     Default bounds [1e-3 X0, 4 X0] are clamped so that x + rho f(v) stays
-    inside the open image of g for every variance node (relevant for the
+    inside the open image of g for every node of ``vgrid`` (relevant for the
     power-transform and arctangent-transform families, whose g has a bounded
     image); a violated anchor raises.
     """
@@ -152,33 +151,12 @@ def build_x_grid(
         g_lo = float(model.g(-_BIG_ASSET_MULT * market.s0))
     g_hi = float(model.g(_BIG_ASSET_MULT * market.s0))
 
-    if vgrid is not None:
-        rf = market.rho * np.asarray(
-            transform_f(vgrid.nodes, model, kernel, formulation)
-        )
-        rf_min, rf_max = float(rf.min()), float(rf.max())
-    else:
-        rf0 = market.rho * float(transform_f(market.v0, model, kernel, formulation))
-        rf_min = rf_max = rf0
-
-    lo = max(lo, g_lo - rf_min)
-    hi = min(hi, g_hi - rf_max)
+    rf = market.rho * np.asarray(transform_f(vgrid.nodes, model, kernel, formulation))
+    lo = max(lo, g_lo - float(rf.min()))
+    hi = min(hi, g_hi - float(rf.max()))
     if not lo < x0 < hi:
         raise GridError(
             f"x-grid bounds ({lo:.6g}, {hi:.6g}) do not contain the anchor {x0:.6g}"
         )
     return _two_panel(lo, hi, x0, n)
 
-
-def locate(grid: Grid, value: float) -> int:
-    """Index of the node nearest to value; ties break to the lower index."""
-    nodes = grid.nodes
-    if value < nodes[0] or value > nodes[-1]:
-        raise GridError(f"value {value} outside grid [{nodes[0]}, {nodes[-1]}]")
-    j = int(np.searchsorted(nodes, value))
-    if j == 0:
-        return 0
-    # prefer the lower node on exact midpoints
-    if j < len(nodes) and (value - nodes[j - 1]) <= (nodes[j] - value):
-        return j - 1
-    return min(j, len(nodes) - 1)

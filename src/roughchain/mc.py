@@ -169,6 +169,7 @@ def mc_price(
     times, dt, batches = _batches(mc, horizon, draws=2)
     wb, kb = _kernel_weights(times, kernel.hurst, kernel.eps if perturbed else 0.0)
     rho = market.rho
+    r, q = model.rates
     log_asset = _is_log_asset(model)
 
     total = 0.0
@@ -179,7 +180,6 @@ def mc_price(
 
         v = _v_recursion(model, market.v0, wb, kb, db)
         if log_asset:
-            r_minus_q = float(model.mu(1.0, market.v0))  # mu = (r-q) s
             log_s = np.full(m, np.log(market.s0))
         else:
             s = np.full(m, market.s0)
@@ -187,9 +187,9 @@ def mc_price(
             vp = _v_positive_part(v[:, k], model)
             phi = model.phi(vp)
             if log_asset:
-                log_s += (r_minus_q - 0.5 * phi**2) * dt + phi * dw[:, k]
+                log_s += (r - q - 0.5 * phi**2) * dt + phi * dw[:, k]
             else:
-                s += model.mu(s, vp) * dt + phi * model.nu(s) * dw[:, k]
+                s += (r - q) * s * dt + phi * model.nu(s) * dw[:, k]
                 if model.asset_domain == "positive":
                     s = np.maximum(s, 0.0)
         s_T = np.exp(log_s) if log_asset else s

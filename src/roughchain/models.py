@@ -2,7 +2,7 @@
 
 Every family is a pair of dynamics
 
-    dS = mu(S, V) dt + phi(V) nu(S) dW
+    dS = (r - q) S dt + phi(V) nu(S) dW
     V  = V0 + int K(t, s) (b(V) ds + sigma(V) dB),   corr(W, B) = rho,
 
 together with the decoupling transforms
@@ -37,16 +37,27 @@ __all__ = [
     "drift_theta",
 ]
 
-MODEL_NAMES = (
-    "rough-heston",
-    "rough-42",
-    "rough-alpha-hyper",
-    "rough-sabr",
-    "rough-heston-sabr",
-    "rough-quadratic-slv",
-)
 
-ArrayLike = "float | np.ndarray"
+def _positive(*keys):
+    return tuple((f"{k} > 0", lambda p, k=k: p[k] > 0) for k in keys)
+
+
+_BETA = (("beta in [0, 1)", lambda p: 0.0 <= p["beta"] < 1.0),)
+
+# family -> (parameter names, admissibility checks (what, holds(p)) in order)
+_FAMILIES = {
+    "rough-heston": (("r", "q", "eta", "theta", "sigma"), _positive("sigma")),
+    "rough-42": (("r", "q", "eta", "theta", "sigma", "a", "b"), _positive("sigma")),
+    "rough-alpha-hyper": (("r", "q", "eta", "theta", "a", "sigma"),
+                          _positive("theta", "a", "sigma")),
+    "rough-sabr": (("sigma", "beta"), _positive("sigma") + _BETA),
+    "rough-heston-sabr": (("r", "q", "eta", "theta", "sigma", "beta"),
+                          _positive("eta", "theta", "sigma") + _BETA),
+    "rough-quadratic-slv": (("r", "q", "eta", "theta", "sigma", "a", "b", "c"),
+                            _positive("a", "eta", "theta", "sigma")
+                            + (("4ac > b^2", lambda p: 4 * p["a"] * p["c"] > p["b"] ** 2),)),
+}
+MODEL_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -82,7 +93,6 @@ class ModelSpec:
 
     name: str
     params: dict
-    mu: Callable
     nu: Callable
     nu_prime: Callable
     phi: Callable
@@ -97,6 +107,11 @@ class ModelSpec:
     g_range: tuple = (-np.inf, np.inf)
     variance_domain: str = "positive"
 
+    @property
+    def rates(self) -> tuple[float, float]:
+        """(r, q) of the asset drift (r - q) S dt; both 0.0 for rough-sabr."""
+        return self.params.get("r", 0.0), self.params.get("q", 0.0)
+
     def g_inverse(self, y):
         """Inverse asset transform; raises outside the open image of g."""
         yarr = np.asarray(y, dtype=float)
@@ -109,25 +124,59 @@ class ModelSpec:
         return float(out) if np.isscalar(y) else out
 
 
-def _require(params: dict, name: str, keys: tuple[str, ...]) -> dict:
+def _validated(name: str, params: dict) -> dict:
+    if name not in _FAMILIES:
+        raise ParameterError(f"unknown model name {name!r}; choose one of {MODEL_NAMES}")
+    keys, checks = _FAMILIES[name]
     missing = [k for k in keys if k not in params]
     extra = [k for k in params if k not in keys]
     if missing:
         raise ParameterError(f"{name}: missing parameters {missing}")
     if extra:
         raise ParameterError(f"{name}: unknown parameters {extra}")
-    return {k: float(params[k]) for k in keys}
+    p = {k: float(params[k]) for k in keys}
+    for what, holds in checks:
+        if not holds(p):
+            raise ParameterError(f"{name}: parameter domain violated: {what}")
+    return p
 
 
-def _check(cond: bool, name: str, what: str):
-    if not cond:
-        raise ParameterError(f"{name}: parameter domain violated: {what}")
+def _log_asset() -> dict:
+    """nu(s) = s, g = ln s."""
+    return dict(
+        nu=lambda s: np.asarray(s, float),
+        nu_prime=lambda s: np.ones_like(np.asarray(s, float)),
+        g=np.log, g_inverse_raw=np.exp,
+    )
+
+
+def _power_asset(beta: float) -> dict:
+    """nu(s) = s^beta, g = s^(1-beta)/(1-beta) with image (0, inf)."""
+    return dict(
+        nu=lambda s: s**beta,
+        nu_prime=lambda s: beta * s ** (beta - 1.0),
+        g=lambda s: s ** (1.0 - beta) / (1.0 - beta),
+        g_inverse_raw=lambda y: ((1.0 - beta) * y) ** (1.0 / (1.0 - beta)),
+        g_range=(0.0, np.inf),
+    )
+
+
+def _cir_sqrt(eta: float, theta: float, sigma: float) -> dict:
+    """CIR-type variance b = eta (theta - v), sigma sqrt(v), with phi = sqrt(v), f = v/sigma."""
+    return dict(
+        phi=np.sqrt, phi_prime=lambda v: 0.5 / np.sqrt(v),
+        b=lambda v: eta * (theta - v),
+        sigma=lambda v: sigma * np.sqrt(v),
+        sigma_prime=lambda v: 0.5 * sigma / np.sqrt(v),
+        f_primitive=lambda v: np.asarray(v, float) / sigma,
+    )
 
 
 def make_model(name: str, params: dict) -> ModelSpec:
     """Build the named family with validated parameters.
 
-    Parameter sets (all floats):
+    Each family is an asset transform (nu, g), a volatility function phi and a
+    variance law (b, sigma).  Parameter sets (all floats) and checks:
 
     ========================  ==========================================
     rough-heston              r, q, eta, theta, sigma        (sigma > 0)
@@ -139,148 +188,48 @@ def make_model(name: str, params: dict) -> ModelSpec:
                               (a, eta, theta, sigma > 0 and 4ac > b^2)
     ========================  ==========================================
     """
+    p = _validated(name, params)
+    eta, theta, sg, a, b, c = (p.get(k) for k in ("eta", "theta", "sigma", "a", "b", "c"))
     if name == "rough-heston":
-        p = _require(params, name, ("r", "q", "eta", "theta", "sigma"))
-        _check(p["sigma"] > 0, name, "sigma > 0")
-        return _cir_log_model(name, p, phi=_sqrt_phi())
-
-    if name == "rough-42":
-        p = _require(params, name, ("r", "q", "eta", "theta", "sigma", "a", "b"))
-        _check(p["sigma"] > 0, name, "sigma > 0")
-        a, b = p["a"], p["b"]
-        phi = (
-            lambda v: a * np.sqrt(v) + b / np.sqrt(v),
-            lambda v: 0.5 * a / np.sqrt(v) - 0.5 * b * v ** (-1.5),
-        )
-        spec = _cir_log_model(name, p, phi=phi)
+        parts = _log_asset() | _cir_sqrt(eta, theta, sg)
+    elif name == "rough-42":
         # f = int (a sqrt(u) + b/sqrt(u)) / (sigma sqrt(u)) du = (a v + b ln v)/sigma
-        return _replace_f(spec, lambda v: (a * v + b * np.log(v)) / p["sigma"])
-
-    if name == "rough-alpha-hyper":
-        p = _require(params, name, ("r", "q", "eta", "theta", "a", "sigma"))
-        _check(p["theta"] > 0, name, "theta > 0")
-        _check(p["a"] > 0, name, "a > 0")
-        _check(p["sigma"] > 0, name, "sigma > 0")
-        r, q, eta, th, a, sg = (p[k] for k in ("r", "q", "eta", "theta", "a", "sigma"))
-        return ModelSpec(
-            name=name, params=p,
-            mu=lambda s, v: (r - q) * s,
-            nu=lambda s: s, nu_prime=lambda s: np.ones_like(np.asarray(s, float)),
+        parts = _log_asset() | _cir_sqrt(eta, theta, sg) | dict(
+            phi=lambda v: a * np.sqrt(v) + b / np.sqrt(v),
+            phi_prime=lambda v: 0.5 * a / np.sqrt(v) - 0.5 * b * v ** (-1.5),
+            f_primitive=lambda v: (a * v + b * np.log(v)) / sg,
+        )
+    elif name == "rough-alpha-hyper":
+        parts = _log_asset() | dict(
             phi=np.exp, phi_prime=np.exp,
-            b=lambda v: eta - th * np.exp(a * v),
+            b=lambda v: eta - theta * np.exp(a * v),
             sigma=lambda v: np.full_like(np.asarray(v, float), sg),
             sigma_prime=lambda v: np.zeros_like(np.asarray(v, float)),
-            g=np.log, g_inverse_raw=np.exp,
             f_primitive=lambda v: np.exp(v) / sg,
-            asset_domain="positive", g_range=(-np.inf, np.inf),
             variance_domain="real",
         )
-
-    if name == "rough-sabr":
-        p = _require(params, name, ("sigma", "beta"))
-        _check(p["sigma"] > 0, name, "sigma > 0")
-        _check(0.0 <= p["beta"] < 1.0, name, "beta in [0, 1)")
-        sg, beta = p["sigma"], p["beta"]
-        return ModelSpec(
-            name=name, params=p,
-            mu=lambda s, v: np.zeros_like(np.asarray(s, float) * np.asarray(v, float)),
-            nu=lambda s: s**beta,
-            nu_prime=lambda s: beta * s ** (beta - 1.0),
+    elif name == "rough-sabr":
+        parts = _power_asset(p["beta"]) | dict(
             phi=lambda v: np.asarray(v, float),
             phi_prime=lambda v: np.ones_like(np.asarray(v, float)),
             b=lambda v: np.zeros_like(np.asarray(v, float)),
             sigma=lambda v: sg * np.asarray(v, float),
             sigma_prime=lambda v: np.full_like(np.asarray(v, float), sg),
-            g=lambda s: s ** (1.0 - beta) / (1.0 - beta),
-            g_inverse_raw=lambda y: ((1.0 - beta) * y) ** (1.0 / (1.0 - beta)),
             f_primitive=lambda v: np.asarray(v, float) / sg,
-            asset_domain="positive", g_range=(0.0, np.inf),
             variance_domain="real",
         )
-
-    if name == "rough-heston-sabr":
-        p = _require(params, name, ("r", "q", "eta", "theta", "sigma", "beta"))
-        _check(p["eta"] > 0, name, "eta > 0")
-        _check(p["theta"] > 0, name, "theta > 0")
-        _check(p["sigma"] > 0, name, "sigma > 0")
-        _check(0.0 <= p["beta"] < 1.0, name, "beta in [0, 1)")
-        r, q, eta, th, sg, beta = (
-            p[k] for k in ("r", "q", "eta", "theta", "sigma", "beta")
-        )
-        sqrt_phi, sqrt_phi_p = _sqrt_phi()
-        return ModelSpec(
-            name=name, params=p,
-            mu=lambda s, v: (r - q) * s,
-            nu=lambda s: s**beta,
-            nu_prime=lambda s: beta * s ** (beta - 1.0),
-            phi=sqrt_phi, phi_prime=sqrt_phi_p,
-            b=lambda v: eta * (th - v),
-            sigma=lambda v: sg * np.sqrt(v),
-            sigma_prime=lambda v: 0.5 * sg / np.sqrt(v),
-            g=lambda s: s ** (1.0 - beta) / (1.0 - beta),
-            g_inverse_raw=lambda y: ((1.0 - beta) * y) ** (1.0 / (1.0 - beta)),
-            f_primitive=lambda v: np.asarray(v, float) / sg,
-            asset_domain="positive", g_range=(0.0, np.inf),
-        )
-
-    if name == "rough-quadratic-slv":
-        p = _require(params, name, ("r", "q", "eta", "theta", "sigma", "a", "b", "c"))
-        _check(p["a"] > 0, name, "a > 0")
-        _check(p["eta"] > 0, name, "eta > 0")
-        _check(p["theta"] > 0, name, "theta > 0")
-        _check(p["sigma"] > 0, name, "sigma > 0")
-        _check(4 * p["a"] * p["c"] > p["b"] ** 2, name, "4ac > b^2")
-        r, q, eta, th, sg, a, b, c = (
-            p[k] for k in ("r", "q", "eta", "theta", "sigma", "a", "b", "c")
-        )
+    elif name == "rough-heston-sabr":
+        parts = _power_asset(p["beta"]) | _cir_sqrt(eta, theta, sg)
+    else:  # rough-quadratic-slv
         disc = np.sqrt(4 * a * c - b * b)
-        sqrt_phi, sqrt_phi_p = _sqrt_phi()
-        g = lambda s: 2.0 * np.arctan((2 * a * s + b) / disc) / disc
-        return ModelSpec(
-            name=name, params=p,
-            mu=lambda s, v: (r - q) * s,
+        parts = _cir_sqrt(eta, theta, sg) | dict(
             nu=lambda s: a * s * s + b * s + c,
             nu_prime=lambda s: 2 * a * s + b,
-            phi=sqrt_phi, phi_prime=sqrt_phi_p,
-            b=lambda v: eta * (th - v),
-            sigma=lambda v: sg * np.sqrt(v),
-            sigma_prime=lambda v: 0.5 * sg / np.sqrt(v),
-            g=g,
+            g=lambda s: 2.0 * np.arctan((2 * a * s + b) / disc) / disc,
             g_inverse_raw=lambda y: (disc * np.tan(0.5 * disc * y) - b) / (2 * a),
-            f_primitive=lambda v: np.asarray(v, float) / sg,
             asset_domain="real", g_range=(-np.pi / disc, np.pi / disc),
         )
-
-    raise ParameterError(f"unknown model name {name!r}; choose one of {MODEL_NAMES}")
-
-
-def _sqrt_phi():
-    return (lambda v: np.sqrt(v), lambda v: 0.5 / np.sqrt(v))
-
-
-def _cir_log_model(name, p, phi) -> ModelSpec:
-    """Common structure of the log-asset families with CIR-type variance."""
-    r, q, eta, th, sg = (p[k] for k in ("r", "q", "eta", "theta", "sigma"))
-    phi_fn, phi_p = phi
-    return ModelSpec(
-        name=name, params=p,
-        mu=lambda s, v: (r - q) * s,
-        nu=lambda s: np.asarray(s, float),
-        nu_prime=lambda s: np.ones_like(np.asarray(s, float)),
-        phi=phi_fn, phi_prime=phi_p,
-        b=lambda v: eta * (th - v),
-        sigma=lambda v: sg * np.sqrt(v),
-        sigma_prime=lambda v: 0.5 * sg / np.sqrt(v),
-        g=np.log, g_inverse_raw=np.exp,
-        f_primitive=lambda v: np.asarray(v, float) / sg,
-        asset_domain="positive", g_range=(-np.inf, np.inf),
-    )
-
-
-def _replace_f(spec: ModelSpec, f_primitive) -> ModelSpec:
-    from dataclasses import replace
-
-    return replace(spec, f_primitive=f_primitive)
+    return ModelSpec(name=name, params=p, **parts)
 
 
 # --------------------------------------------------------------------------
@@ -320,13 +269,14 @@ def drift_theta(
     With c the chain scale, s = g^{-1}(x + rho f(v)) and the variance-chain
     drift d(v) = (v - V0) Rhat + c b(v):
 
-        theta = mu(s,v)/nu(s) - nu'(s) phi(v)^2 / 2
+        theta = (r - q) s/nu(s) - nu'(s) phi(v)^2 / 2
                 - (rho/2) c (sigma phi' - sigma' phi)(v)
                 - rho d(v) phi(v) / (c sigma(v))
     """
     c = chain_scale(kernel, formulation)
     _, _, rhat = laplace_constants(kernel)
     rho = market.rho
+    r, q = model.rates
     f_v = model.f_primitive(v) / c
     s = model.g_inverse(np.asarray(x, float) + rho * f_v)
     phi_v = model.phi(v)
@@ -334,7 +284,7 @@ def drift_theta(
     wron = model.sigma(v) * model.phi_prime(v) - model.sigma_prime(v) * phi_v
     d_v = (np.asarray(v, float) - market.v0) * rhat + c * model.b(v)
     out = (
-        model.mu(s, v) / model.nu(s)
+        (r - q) * s / model.nu(s)
         - 0.5 * model.nu_prime(s) * phi_v**2
         - 0.5 * rho * c * wron
         - rho * d_v * phi_v / (c * sig_v)

@@ -182,11 +182,11 @@ def _terminal(gens: GeneratorSet, t: float, n_slices: int):
         p = np.zeros((gens.m, gens.n))
         p[gens.anchor_indices] = 1.0
         p = _propagate(gens, p, t, n_slices, forward=True)
-        growth = gens.model.params.get("r", 0.0) - gens.model.params.get("q", 0.0)
+        r, q = gens.model.rates
         walls = {"v_low": p[0], "v_high": p[-1], "x_low": p[:, 0], "x_high": p[:, -1]}
         gens._step_cache[n_slices, t]["law"] = (p, {
             "forward_defect": float(np.vdot(p, gens.asset_states)
-                                    - gens.market.s0 * np.exp(growth * t)),
+                                    - gens.market.s0 * np.exp((r - q) * t)),
             "wall_mass": {wall: float(mass.sum()) for wall, mass in walls.items()},
         })
     p, diag = gens._step_cache[n_slices, t]["law"]

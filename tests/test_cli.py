@@ -119,6 +119,20 @@ class TestPriceCommand:
         )
         assert code == 3
 
+    def test_discounts_at_the_model_rate(self, tmp_path):
+        # the chain drifts at model r = 0.05, so the price is discounted at it too
+        code, out = _run("price", tmp_path, overrides=[
+            "model.params.r=0.05", "option.kind=put", "option.strike=12",
+            "numerics.n_x=40", "numerics.m_v=40",
+        ])
+        assert code == 0
+        assert json.loads(out)["price_repr"] == "1.8330416759569046"
+
+    def test_removed_option_rate_key_rejected(self, tmp_path):
+        # the model's r is the one rate; the option has none of its own
+        code, _ = _run("price", tmp_path, config=SMALL, overrides=["option.rate=0.05"])
+        assert code == 2
+
     def test_removed_rate_policy_key_rejected(self, tmp_path):
         # upwinding is the one row rule; there is no switch to set
         code, _ = _run(

@@ -8,7 +8,6 @@ from roughchain import (
     MODEL_NAMES,
     GeneratorError,
     build_coupled,
-    build_Lambda,
     build_lambda_family,
     build_Q,
     build_variance_grid,
@@ -107,7 +106,7 @@ class TestTridiagonalRows:
 
 class TestBuildQ:
     def test_drift_and_diffusion_inputs(self, heston, market, kernel):
-        vg = build_variance_grid(30, market, heston)
+        vg = build_variance_grid(30, market)
         for formulation in ("stable", "markov"):
             q = build_Q(vg, heston, market, kernel, formulation)
             c = chain_scale(kernel, formulation)
@@ -131,7 +130,7 @@ class TestBuildQ:
         from roughchain import KernelSpec
 
         spec = KernelSpec(hurst=0.12, eps=1e-6)
-        vg = build_variance_grid(30, market, heston, bounds=(0.02, 0.06))
+        vg = build_variance_grid(30, market, bounds=(0.02, 0.06))
         q = build_Q(vg, heston, market, spec, "stable")
         i = vg.anchor_index
         hm, hp = vg.spacings[i - 1], vg.spacings[i]
@@ -143,10 +142,10 @@ class TestBuildQ:
 
 class TestBuildLambda:
     def test_moment_reproduction(self, heston, market, kernel):
-        vg = build_variance_grid(10, market, heston)
-        xg = build_x_grid(40, market, heston, kernel, vgrid=vg)
+        vg = build_variance_grid(10, market)
+        xg = build_x_grid(40, market, heston, kernel, vg)
         v_ell = vg.nodes[5]
-        lam = build_Lambda(xg, v_ell, heston, market, kernel)
+        lam = build_lambda_family(xg, v_ell, heston, market, kernel)
         want = drift_theta(xg.nodes, v_ell, heston, market, kernel)
         got = lam @ xg.nodes
         assert np.abs(got[1:-1] - want[1:-1]).max() <= 1e-10 * max(1.0, np.abs(want).max())
@@ -155,10 +154,10 @@ class TestBuildLambda:
         from roughchain import MarketParams
 
         market = MarketParams(s0=10.0, v0=0.04, rho=0.0)
-        vg = build_variance_grid(6, market, heston)
-        xg = build_x_grid(30, market, heston, kernel, vgrid=vg)
+        vg = build_variance_grid(6, market)
+        xg = build_x_grid(30, market, heston, kernel, vg)
         v_ell = 0.04
-        lam = build_Lambda(xg, v_ell, heston, market, kernel)
+        lam = build_lambda_family(xg, v_ell, heston, market, kernel)
         sq = np.array([lam[i] @ (xg.nodes - xg.nodes[i]) ** 2 for i in range(1, 29)])
         assert np.abs(sq - v_ell).max() <= 1e-10  # diffusion = phi^2 = v
 
@@ -166,9 +165,9 @@ class TestBuildLambda:
         from roughchain import MarketParams
 
         market = MarketParams(s0=10.0, v0=0.04, rho=0.9999999)
-        vg = build_variance_grid(6, market, heston)
-        xg = build_x_grid(15, market, heston, kernel, vgrid=vg)
-        lam = build_Lambda(xg, 0.04, heston, market, kernel)
+        vg = build_variance_grid(6, market)
+        xg = build_x_grid(15, market, heston, kernel, vg)
+        lam = build_lambda_family(xg, 0.04, heston, market, kernel)
         # essentially one off-diagonal per interior row
         for i in range(1, 14):
             lo, up = lam[i, i - 1], lam[i, i + 1]
@@ -180,9 +179,9 @@ class TestBatchedBuild:
     def test_family_is_the_stack_of_single_builds(self, name, all_models, market, kernel):
         gens = assemble(all_models[name], market, kernel, n=24, m=24)
         args = (all_models[name], market, kernel)
-        family = build_lambda_family(gens.xgrid, gens.vgrid, *args)
+        family = build_lambda_family(gens.xgrid, gens.vgrid.nodes, *args)
         single = np.stack([
-            build_Lambda(gens.xgrid, v, *args) for v in gens.vgrid.nodes
+            build_lambda_family(gens.xgrid, v, *args) for v in gens.vgrid.nodes
         ])
         assert family.shape == (24, 24, 24)
         assert np.all(np.abs(family - single) <= 1e-15 * np.abs(single))

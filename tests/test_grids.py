@@ -7,7 +7,6 @@ from roughchain import (
     MarketParams,
     build_variance_grid,
     build_x_grid,
-    locate,
     make_model,
     transform_f,
 )
@@ -15,23 +14,23 @@ from roughchain.presets import model_params
 
 
 class TestVarianceGrid:
-    def test_default_bounds_and_anchor(self, market, heston):
-        g = build_variance_grid(100, market, heston)
+    def test_default_bounds_and_anchor(self, market):
+        g = build_variance_grid(100, market)
         assert g.nodes[0] == pytest.approx(1e-3 * 0.04, rel=1e-15)
         assert g.nodes[-1] == pytest.approx(4 * 0.04, rel=1e-15)
         assert g.nodes[g.anchor_index] == 0.04  # bit-exact
 
-    def test_minimal_grid(self, market, heston):
-        g = build_variance_grid(3, market, heston)
+    def test_minimal_grid(self, market):
+        g = build_variance_grid(3, market)
         assert len(g) == 3
         assert g.nodes[1] == 0.04
 
-    def test_too_small(self, market, heston):
+    def test_too_small(self, market):
         with pytest.raises(GridError):
-            build_variance_grid(2, market, heston)
+            build_variance_grid(2, market)
 
-    def test_spacing_regularity(self, market, heston):
-        g = build_variance_grid(100, market, heston)
+    def test_spacing_regularity(self, market):
+        g = build_variance_grid(100, market)
         h = g.spacings
         span = g.nodes[-1] - g.nodes[0]
         assert h.max() <= 2 * span / len(g)
@@ -39,37 +38,38 @@ class TestVarianceGrid:
         assert np.abs(np.diff(h)).max() <= 6 * span / len(g) ** 2
         g.check_regularity()
 
-    def test_doubling_m_halves_max_spacing(self, market, heston):
-        h1 = build_variance_grid(50, market, heston).spacings.max()
-        h2 = build_variance_grid(100, market, heston).spacings.max()
+    def test_doubling_m_halves_max_spacing(self, market):
+        h1 = build_variance_grid(50, market).spacings.max()
+        h2 = build_variance_grid(100, market).spacings.max()
         assert abs(h2 / h1 - 0.5) <= 0.05
 
-    def test_custom_bounds(self, market, heston):
-        g = build_variance_grid(10, market, heston, bounds=(0.01, 0.09))
+    def test_custom_bounds(self, market):
+        g = build_variance_grid(10, market, bounds=(0.01, 0.09))
         assert g.nodes[0] == 0.01 and g.nodes[-1] == 0.09
 
 
 class TestXGrid:
     def test_heston_anchor_value(self, market, heston, kernel):
-        g = build_x_grid(50, market, heston, kernel, formulation="markov")
+        vg = build_variance_grid(20, market)
+        g = build_x_grid(50, market, heston, kernel, vg, formulation="markov")
         f0 = transform_f(0.04, heston, kernel, "markov")
         want = np.log(10.0) - (-0.75) * f0
         assert g.nodes[g.anchor_index] == pytest.approx(want, rel=1e-15)
 
     def test_zero_correlation_anchor_is_g_s0(self, heston, kernel):
         market = MarketParams(s0=10.0, v0=0.04, rho=0.0)
-        g = build_x_grid(50, market, heston, kernel)
+        g = build_x_grid(50, market, heston, kernel, build_variance_grid(20, market))
         assert g.nodes[g.anchor_index] == pytest.approx(np.log(10.0), rel=1e-15)
 
     def test_minimal_grid(self, market, heston, kernel):
-        g = build_x_grid(3, market, heston, kernel)
+        g = build_x_grid(3, market, heston, kernel, build_variance_grid(3, market))
         assert len(g) == 3 and g.anchor_index == 1
 
     def test_bounded_transform_image_is_clamped(self, market, kernel):
         # arctangent transform: image of g is bounded; 4*X0 would overshoot it
         qslv = make_model("rough-quadratic-slv", model_params("rough-quadratic-slv"))
-        vg = build_variance_grid(20, market, qslv)
-        g = build_x_grid(50, market, qslv, kernel, vgrid=vg)
+        vg = build_variance_grid(20, market)
+        g = build_x_grid(50, market, qslv, kernel, vg)
         disc = np.sqrt(4 * 0.02 * 1.0 - 0.05**2)
         assert g.nodes[-1] < np.pi / disc
         # every node stays inside the transform domain for every regime
@@ -79,35 +79,15 @@ class TestXGrid:
 
     def test_power_transform_positive_domain(self, market, kernel):
         sabr = make_model("rough-sabr", model_params("rough-sabr"))
-        vg = build_variance_grid(20, market, sabr)
+        vg = build_variance_grid(20, market)
         spec = KernelSpec(hurst=0.12, eps=1e-2)  # large f range
-        g = build_x_grid(50, market, sabr, spec, vgrid=vg)
+        g = build_x_grid(50, market, sabr, spec, vg)
         f_v = np.asarray(transform_f(vg.nodes, sabr, spec, "stable"))
         assert (g.nodes[None, :] + market.rho * f_v[:, None]).min() > 0
 
 
-class TestLocate:
-    def test_anchor_exact(self, market, heston):
-        g = build_variance_grid(37, market, heston)
-        assert locate(g, 0.04) == g.anchor_index
-
-    def test_midpoint_ties_to_lower(self, market, heston):
-        g = build_variance_grid(11, market, heston)
-        mid = 0.5 * (g.nodes[3] + g.nodes[4])
-        assert locate(g, mid) == 3
-
-    def test_quarter_spacing_rounds_down(self, market, heston):
-        g = build_variance_grid(11, market, heston)
-        assert locate(g, g.nodes[5] + 0.25 * g.spacings[5]) == 5
-
-    def test_out_of_range(self, market, heston):
-        g = build_variance_grid(11, market, heston)
-        with pytest.raises(GridError):
-            locate(g, 1.0)
-
-
-def test_csv_dump(market, heston):
-    g = build_variance_grid(5, market, heston)
+def test_csv_dump(market):
+    g = build_variance_grid(5, market)
     text = g.to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "index,node,spacing_to_next"

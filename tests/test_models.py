@@ -52,6 +52,41 @@ class TestMakeModel:
         with pytest.raises(ParameterError, match="beta"):
             make_model("rough-sabr", {"sigma": 0.8, "beta": 1.0})
 
+    # every check of the make_model docstring table, broken one at a time
+    @pytest.mark.parametrize("name, bad, what", [
+        ("rough-heston", {"sigma": 0.0}, "sigma > 0"),
+        ("rough-42", {"sigma": -0.8}, "sigma > 0"),
+        ("rough-alpha-hyper", {"theta": 0.0}, "theta > 0"),
+        ("rough-alpha-hyper", {"a": 0.0}, "a > 0"),
+        ("rough-alpha-hyper", {"sigma": 0.0}, "sigma > 0"),
+        ("rough-sabr", {"sigma": 0.0}, "sigma > 0"),
+        ("rough-sabr", {"beta": -0.1}, "beta in [0, 1)"),
+        ("rough-heston-sabr", {"eta": 0.0}, "eta > 0"),
+        ("rough-heston-sabr", {"theta": -0.035}, "theta > 0"),
+        ("rough-heston-sabr", {"sigma": 0.0}, "sigma > 0"),
+        ("rough-heston-sabr", {"beta": 1.0}, "beta in [0, 1)"),
+        ("rough-quadratic-slv", {"a": 0.0}, "a > 0"),
+        ("rough-quadratic-slv", {"eta": 0.0}, "eta > 0"),
+        ("rough-quadratic-slv", {"theta": 0.0}, "theta > 0"),
+        ("rough-quadratic-slv", {"sigma": 0.0}, "sigma > 0"),
+        ("rough-quadratic-slv", {"b": 1.0}, "4ac > b^2"),
+    ])
+    def test_each_domain_check_names_itself(self, name, bad, what):
+        with pytest.raises(ParameterError) as err:
+            make_model(name, model_params(name) | bad)
+        assert str(err.value) == f"{name}: parameter domain violated: {what}"
+
+    @pytest.mark.parametrize("name", [
+        "rough-heston", "rough-42", "rough-alpha-hyper",
+        "rough-heston-sabr", "rough-quadratic-slv",
+    ])
+    def test_rates_are_the_model_r_and_q(self, name):
+        model = make_model(name, model_params(name) | {"r": 0.05, "q": 0.02})
+        assert model.rates == (0.05, 0.02)
+
+    def test_sabr_has_zero_rates(self):
+        assert make_model("rough-sabr", model_params("rough-sabr")).rates == (0.0, 0.0)
+
 
 class TestTransforms:
     @pytest.mark.parametrize("name", [
