@@ -7,7 +7,6 @@ from .ctmc import (
     build_coupled,
     build_lambda_family,
     build_Q,
-    dump_triplets,
     validate_generator,
 )
 from .errors import (
@@ -28,7 +27,7 @@ from .kernel import (
     perturbed_kernel,
 )
 from .matexp import expm_action, expm_dense
-from .mc import McConfig, estimate_l2_rate, gaps_to_csv, mc_price, simulate_v
+from .mc import McConfig, estimate_l2_rate, mc_price, simulate_v
 from .models import (
     MODEL_NAMES,
     MarketParams,

@@ -7,8 +7,9 @@ values) and is recorded in the output provenance.  All numeric output is printed
 
 Every command discounts at the model's r, the rate the chain drifts at.
 ``selfcheck`` checks the configured family's European call and put ladder
-against the model-free constraints (``pricing.ladder_violations``); it ignores
-``numerics.method``, ``bermudan_dates`` and the option's kind, strike, barrier.
+on the configured route against the model-free constraints
+(``pricing.ladder_violations``); it ignores ``bermudan_dates`` and the
+option's kind, strike, barrier.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 a model-free price check failed.
@@ -137,18 +138,18 @@ def _build_system(cfg: dict) -> ctmc.GeneratorSet:
     )
 
 
-def _option_from(cfg: dict, gens: ctmc.GeneratorSet) -> OptionSpec:
+def _option_from(cfg: dict) -> OptionSpec:
     opt = cfg["option"]
     barrier = tuple(opt["barrier"]) if opt.get("barrier") else None
     return OptionSpec(
         kind=opt["kind"], strike=opt["strike"], maturity=opt["maturity"],
-        rate=gens.model.rates[0], barrier=barrier,
-        bermudan_dates=cfg["numerics"].get("bermudan_dates"),
+        barrier=barrier, bermudan_dates=cfg["numerics"].get("bermudan_dates"),
     )
 
 
-def _price(cfg: dict, gens: ctmc.GeneratorSet):
-    option = _option_from(cfg, gens)
+def _price(cfg: dict, gens: ctmc.GeneratorSet, option: OptionSpec | None = None):
+    """Price ``option`` (default: the configured one) on the configured route."""
+    option = option or _option_from(cfg)
     num = cfg["numerics"]
     if num["method"] == "coupled":
         return price_european_coupled(option, gens)
@@ -207,7 +208,7 @@ def _cmd_compare_mc(cfg: dict, provenance: dict, out) -> int:
     gens = _build_system(cfg)
     result = _price(cfg, gens)
     mcc = McConfig(**cfg["mc"])
-    estimate, stderr = mc_price(_option_from(cfg, gens), gens.model, gens.market, gens.kernel, mcc)
+    estimate, stderr = mc_price(_option_from(cfg), gens.model, gens.market, gens.kernel, mcc)
     z = (result.price - estimate) / stderr if stderr > 0 else float("inf")
     doc = {
         "ctmc_price": float(result.price),
@@ -231,9 +232,9 @@ def _cmd_selfcheck(cfg: dict, out) -> int:
     strikes = [s0 * m for m in _LADDER]
     failures = []
     for kind in ("call", "put"):  # one cold p_T, then a dot product per strike
-        specs = [OptionSpec(kind, k, cfg["option"]["maturity"], r) for k in strikes]
+        specs = [OptionSpec(kind, k, cfg["option"]["maturity"]) for k in strikes]
         t = specs[0].maturity
-        prices = [price_fast(spec, gens, cfg["numerics"]["n_slices"]).price for spec in specs]
+        prices = [_price(cfg, gens, spec).price for spec in specs]
         failures += ladder_violations(kind, strikes, prices, s0, r, q, t)
     for line in failures:
         out.write(f"[FAIL] {line}\n")

@@ -18,7 +18,6 @@ wall at its physical drift rate, with no one-sided diffusion.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,7 +37,6 @@ __all__ = [
     "build_coupled",
     "validate_generator",
     "assemble",
-    "dump_triplets",
 ]
 
 
@@ -163,18 +161,6 @@ def validate_generator(gen) -> dict:
         "max_diag": float(diag.max()),
         "nu": float(np.abs(diag).max()),
     }
-
-
-def dump_triplets(gen) -> str:
-    """Sparse triplet text (row, col, value at 17 significant digits)."""
-    coo = sparse.coo_matrix(gen)
-    buf = io.StringIO()
-    buf.write("row col value\n")
-    order = np.lexsort((coo.col, coo.row))
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        if v != 0.0:
-            buf.write(f"{r} {c} {v:.17g}\n")
-    return buf.getvalue()
 
 
 @dataclass

@@ -9,7 +9,6 @@ required by the chain convergence analysis.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +71,6 @@ class Grid:
             raise GridError(
                 f"spacing jump {dh.max():.3e} exceeds C/M^2 = {cc / m ** 2:.3e}"
             )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("index,node,spacing_to_next\n")
-        h = self.spacings
-        for i, v in enumerate(self.nodes):
-            nxt = f"{h[i]:.17g}" if i < len(h) else ""
-            buf.write(f"{i},{v:.17g},{nxt}\n")
-        return buf.getvalue()
 
 
 def _two_panel(lo: float, hi: float, anchor: float, m: int) -> Grid:

@@ -28,9 +28,9 @@ import numpy as np
 from .errors import ParameterError
 from .kernel import KernelSpec
 from .models import MarketParams, ModelSpec
-from .pricing import OptionSpec
+from .pricing import OptionSpec, _rate
 
-__all__ = ["McConfig", "simulate_v", "mc_price", "estimate_l2_rate", "gaps_to_csv"]
+__all__ = ["McConfig", "simulate_v", "mc_price", "estimate_l2_rate"]
 
 _BATCH = 8192
 
@@ -163,9 +163,10 @@ def mc_price(
     S uses a log-Euler step when nu(s) = s (positivity-preserving), otherwise
     a direct Euler step; V follows the kernel-integrated scheme with the
     rough or shifted kernel.  Correlation enters through dW = rho dB +
-    sqrt(1-rho^2) dBperp.
+    sqrt(1-rho^2) dBperp.  The payoff is discounted at the model's r.
     """
     horizon = option.maturity
+    disc = np.exp(-_rate(option, model) * horizon)
     times, dt, batches = _batches(mc, horizon, draws=2)
     wb, kb = _kernel_weights(times, kernel.hurst, kernel.eps if perturbed else 0.0)
     rho = market.rho
@@ -193,7 +194,7 @@ def mc_price(
                 if model.asset_domain == "positive":
                     s = np.maximum(s, 0.0)
         s_T = np.exp(log_s) if log_asset else s
-        pay = option.payoff(s_T) * np.exp(-option.rate * horizon)
+        pay = option.payoff(s_T) * disc
         total += float(np.sum(pay))
         total_sq += float(np.sum(pay * pay))
 
@@ -235,10 +236,3 @@ def estimate_l2_rate(
     logs = np.log([g for _, g in gaps])
     slope = float(np.polyfit(np.log(eps_list), logs, 1)[0])
     return slope, gaps
-
-
-def gaps_to_csv(gaps) -> str:
-    """(eps, squared-gap) pairs from estimate_l2_rate as CSV text."""
-    lines = ["eps,l2_gap_squared"]
-    lines += [f"{e:.17g},{g:.17g}" for e, g in gaps]
-    return "\n".join(lines) + "\n"

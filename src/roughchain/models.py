@@ -43,18 +43,18 @@ def _positive(*keys):
 
 
 _BETA = (("beta in [0, 1)", lambda p: 0.0 <= p["beta"] < 1.0),)
+_CIR = _positive("eta", "theta", "sigma")  # the CIR-sqrt(v) law b = eta (theta - v), sigma sqrt(v)
 
 # family -> (parameter names, admissibility checks (what, holds(p)) in order)
 _FAMILIES = {
-    "rough-heston": (("r", "q", "eta", "theta", "sigma"), _positive("sigma")),
-    "rough-42": (("r", "q", "eta", "theta", "sigma", "a", "b"), _positive("sigma")),
+    "rough-heston": (("r", "q", "eta", "theta", "sigma"), _CIR),
+    "rough-42": (("r", "q", "eta", "theta", "sigma", "a", "b"), _CIR),
     "rough-alpha-hyper": (("r", "q", "eta", "theta", "a", "sigma"),
                           _positive("theta", "a", "sigma")),
     "rough-sabr": (("sigma", "beta"), _positive("sigma") + _BETA),
-    "rough-heston-sabr": (("r", "q", "eta", "theta", "sigma", "beta"),
-                          _positive("eta", "theta", "sigma") + _BETA),
+    "rough-heston-sabr": (("r", "q", "eta", "theta", "sigma", "beta"), _CIR + _BETA),
     "rough-quadratic-slv": (("r", "q", "eta", "theta", "sigma", "a", "b", "c"),
-                            _positive("a", "eta", "theta", "sigma")
+                            _positive("a") + _CIR
                             + (("4ac > b^2", lambda p: 4 * p["a"] * p["c"] > p["b"] ** 2),)),
 }
 MODEL_NAMES = tuple(_FAMILIES)
@@ -179,8 +179,8 @@ def make_model(name: str, params: dict) -> ModelSpec:
     variance law (b, sigma).  Parameter sets (all floats) and checks:
 
     ========================  ==========================================
-    rough-heston              r, q, eta, theta, sigma        (sigma > 0)
-    rough-42                  r, q, eta, theta, sigma, a, b  (sigma > 0)
+    rough-heston              r, q, eta, theta, sigma        (eta, theta, sigma > 0)
+    rough-42                  r, q, eta, theta, sigma, a, b  (eta, theta, sigma > 0)
     rough-alpha-hyper         r, q, eta, theta, a, sigma     (theta, a, sigma > 0)
     rough-sabr                sigma, beta                    (sigma > 0, 0 <= beta < 1)
     rough-heston-sabr         r, q, eta, theta, sigma, beta  (eta, theta, sigma > 0, 0 <= beta < 1)

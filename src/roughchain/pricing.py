@@ -1,20 +1,19 @@
-"""Option pricing on the two-layer chain.
+"""Option pricing on the two-layer chain, on two routes:
 
-Two routes share one payoff assembly and one Strang slice loop:
+* ``price_fast``, the production route, steps with a Strang product of the
+  two decoupled factor semigroups (one M x M transition matrix plus M cached
+  N x N ones), so it never forms the big generator;
+* ``price_european_coupled``, the oracle, applies the exact exp(coupled t)
+  by uniformization.
 
-* ``price_fast`` is the production route.  It avoids the big generator:
-  each slice is a Strang product of the two decoupled factor semigroups (one
-  M x M transition matrix plus M cached N x N ones).  A European or barrier
-  price is e^{-rT} p_T . payoff, where p_T, the law at T of the chain started
-  at the anchor, comes from one forward pass through the transposed product
-  and is cached per (n_slices, T): further strikes at T cost a dot product.
-  Bermudans run backward induction over their dates.
-* ``price_european_coupled`` is the oracle: backward induction for every
-  contract, each date step the exact exp(coupled t) by uniformization.
-
-A barrier option only changes the payoff; a Bermudan option applies
-B_k = max(e^{-r t} P(t) B_{k+1}, Phi) at each of its equally spaced dates.
-``price_bermudan`` is the fast route for an option that must carry dates.
+One rule picks the pass on both.  A European or terminal-barrier price is
+e^{-rT} p_T . payoff, where p_T, the law at T of the chain started at the
+anchor, comes from one forward pass and is cached per system, route and T,
+so further strikes, kinds and barriers at T cost a dot product.  An option
+with ``bermudan_dates`` runs backward induction, B_k = max(e^{-r dt} P(dt)
+B_{k+1}, payoff), over its equally spaced dates.  Every price discounts at
+the model's r.  ``price_bermudan`` is the fast route for an option that must
+carry dates.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .ctmc import GeneratorSet, validate_generator  # noqa: F401 (perfbench trac
 from .errors import DomainError, ParameterError
 from .matexp import expm_action, expm_dense
 
-_TOL = 1e-10  # max-norm truncation error of each coupled uniformization series
+_TOL = 1e-10  # absolute truncation error of a coupled price's uniformization series
 _ROUNDOFF = 1e-10  # slack of the model-free ladder constraints
 
 __all__ = [
@@ -45,17 +44,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptionSpec:
-    """Payoff description: vanilla call/put, optional terminal barrier, dates."""
+    """Payoff description: vanilla call/put, optional terminal barrier, dates.
+
+    Prices discount at the model's r; ``rate``, if given, must equal it.
+    """
 
     kind: str
     strike: float
     maturity: float
-    rate: float = 0.0
+    rate: float | None = None
     barrier: tuple[float, float] | None = None   # (lower, upper), payoff kept strictly inside
     bermudan_dates: int | None = None
 
     def __post_init__(self):
-        for name in ("strike", "maturity", "rate"):
+        for name in ("strike", "maturity") + (() if self.rate is None else ("rate",)):
             try:
                 object.__setattr__(self, name, float(getattr(self, name)))
             except (TypeError, ValueError):
@@ -96,6 +98,15 @@ class PriceResult:
     def __post_init__(self):
         if self.price < -1e-9:
             raise DomainError(f"negative price {self.price}")
+
+
+def _rate(option: OptionSpec, model) -> float:
+    """The model's r, at which every price discounts; a different ``option.rate`` is refused."""
+    r = model.rates[0]
+    if option.rate is not None and option.rate != r:
+        raise ParameterError(f"option rate {option.rate!r} differs from the model's "
+                             f"r = {r!r}; leave OptionSpec.rate unset")
+    return r
 
 
 def payoff_vector(option: OptionSpec, gens: GeneratorSet) -> np.ndarray:
@@ -171,82 +182,87 @@ def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: b
     return pq_half @ w
 
 
-def _terminal(gens: GeneratorSet, t: float, n_slices: int):
-    """Law p_T = (S^T)^n e_anchor at t of the fast route, and its diagnostics.
+def _terminal(gens: GeneratorSet, t: float, n_slices: int | None):
+    """Law p_T at t of the chain started at the anchor, and its diagnostics.
 
-    One forward pass; p_T is cached beside the step operators of (n, t).
+    One forward pass, cached under (n_slices, t) beside any step operators:
+    with an int ``n_slices`` the transposed Strang product, with None the
+    exact action exp(coupled^T t) e_anchor, whose series stops where the
+    omitted mass times max |s| is at most _TOL (so the price of any call,
+    and of any put with K <= max |s|, is within _TOL of the exact law's).
     Diagnostics: the forward defect p_T . s - s0 e^{(r-q)t} and wall masses.
     """
-    hit = "law" in gens._step_cache.get((n_slices, t), {})
+    key = (n_slices, t)
+    hit = "law" in gens._step_cache.get(key, {})
     if not hit:
         p = np.zeros((gens.m, gens.n))
         p[gens.anchor_indices] = 1.0
-        p = _propagate(gens, p, t, n_slices, forward=True)
+        if n_slices is None:
+            tol = _TOL / np.abs(gens.asset_states).max()
+            p = expm_action(gens.coupled.T, p.ravel(), t, tol=tol).reshape(p.shape)
+        else:
+            p = _propagate(gens, p, t, n_slices, forward=True)
         r, q = gens.model.rates
         walls = {"v_low": p[0], "v_high": p[-1], "x_low": p[:, 0], "x_high": p[:, -1]}
-        gens._step_cache[n_slices, t]["law"] = (p, {
+        gens._step_cache.setdefault(key, {})["law"] = (p, {
             "forward_defect": float(np.vdot(p, gens.asset_states)
                                     - gens.market.s0 * np.exp((r - q) * t)),
             "wall_mass": {wall: float(mass.sum()) for wall, mass in walls.items()},
         })
-    p, diag = gens._step_cache[n_slices, t]["law"]
+    p, diag = gens._step_cache[key]["law"]
     return p, dict(diag, terminal_cache_hit=hit)
 
 
 def _backward(option: OptionSpec, gens: GeneratorSet, n_slices):
-    """Backward induction over the option's exercise dates (one if it has none).
+    """Backward induction over the option's exercise dates.
 
-    Each date step discounts and propagates; exercise, max(w, payoff), is
-    applied only when the option has dates, so a European is the one-date
-    case.  ``n_slices`` selects the route as in ``_propagate``; on the fast
-    route it is the floor of the total slice count, spread evenly over dates.
+    Each date step discounts, propagates and exercises, max(w, payoff).
+    ``n_slices`` selects the route as in ``_propagate``; on the fast route it
+    is the floor of the total slice count, spread evenly over dates.
     """
     t0 = time.perf_counter()
     pay = payoff_vector(option, gens)
-    dates = option.bermudan_dates or 1
+    dates = option.bermudan_dates
     dt = option.maturity / dates
-    disc = np.exp(-option.rate * dt)
-    extra = {}
-    if option.bermudan_dates:
-        extra["bermudan_dates"] = dates
+    disc = np.exp(-_rate(option, gens.model) * dt)
+    extra = {"bermudan_dates": dates}
     per_date = None
     if n_slices is not None:
         per_date = -(-_auto_slices(gens, option.maturity, n_slices) // dates)
         extra["n_slices"] = per_date * dates
     w = pay
     for _ in range(dates):
-        w = disc * _propagate(gens, w, dt, per_date)
-        if option.bermudan_dates:
-            w = np.maximum(w, pay)
+        w = np.maximum(disc * _propagate(gens, w, dt, per_date), pay)
     l0, i0 = gens.anchor_indices
-    method = "coupled" if per_date is None else "fast"
-    return _result(w[l0, i0], option, gens, method, t0, extra)
+    return _result(w[l0, i0], option, gens, "coupled" if n_slices is None else "fast", t0, extra)
 
 
-def price_fast(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> PriceResult:
-    """Production route: M small exponentials instead of one NM x NM one.
-
-    ``n_slices`` is a floor; stiff regime chains raise the count (see
-    ``_auto_slices``).  A European or barrier option is priced against the
-    cached terminal law (see ``_terminal``); an option with
-    ``bermudan_dates`` is exercised at each date by backward induction.
-    """
+def _price(option: OptionSpec, gens: GeneratorSet, n_slices):
+    """One rule for both routes: exercise runs backward, everything else on p_T."""
     if option.bermudan_dates:
         return _backward(option, gens, n_slices)
     t0 = time.perf_counter()
     t = option.maturity
-    n = _auto_slices(gens, t, n_slices)
+    n = None if n_slices is None else _auto_slices(gens, t, n_slices)
+    disc = np.exp(-_rate(option, gens.model) * t)
     p, extra = _terminal(gens, t, n)
-    price = np.exp(-option.rate * t) * np.vdot(p, payoff_vector(option, gens))
-    return _result(price, option, gens, "fast", t0, dict(extra, n_slices=n))
+    price = disc * np.vdot(p, payoff_vector(option, gens))
+    if n is not None:
+        extra["n_slices"] = n
+    return _result(price, option, gens, "coupled" if n is None else "fast", t0, extra)
+
+
+def price_fast(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> PriceResult:
+    """Production route, M small exponentials instead of one NM x NM one.
+
+    ``n_slices`` is a floor that stiff regime chains raise (``_auto_slices``).
+    """
+    return _price(option, gens, n_slices)
 
 
 def price_european_coupled(option: OptionSpec, gens: GeneratorSet) -> PriceResult:
-    """Oracle route: the exact coupled action exp(coupled t) on the payoff.
-
-    An option with ``bermudan_dates`` is exercised at each date.
-    """
-    return _backward(option, gens, None)
+    """Oracle route: the exact coupled semigroup exp(coupled t) by uniformization."""
+    return _price(option, gens, None)
 
 
 def price_bermudan(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> PriceResult:

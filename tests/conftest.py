@@ -40,6 +40,13 @@ def heston_system(heston, market, kernel):
     return assemble(heston, market, kernel, n=40, m=40)
 
 
+@pytest.fixture(scope="session")
+def heston_rate_system(market, kernel):
+    """The same system with the asset drifting (and prices discounting) at r = 0.05."""
+    model = make_model("rough-heston", model_params("rough-heston") | {"r": 0.05})
+    return assemble(model, market, kernel, n=40, m=40)
+
+
 def random_generator(n, seed=0, scale=1.0):
     """Dense random rate matrix (valid generator) for exponential tests."""
     rng = np.random.default_rng(seed)

@@ -321,6 +321,7 @@ def test_criterion_8_scaling():
     t0 = time.perf_counter()
     coupled = price_european_coupled(EUROPEAN, gens)
     t_coupled = time.perf_counter() - t0
+    assert coupled.diagnostics["terminal_cache_hit"] is False  # a cold coupled law was timed
     ratio = t100 / t50
     crossover = t_coupled / t100
     ok = ratio <= 10.0 and crossover >= 5.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import roughchain
-from roughchain import presets
+from roughchain import presets, pricing
 from roughchain.cli import apply_overrides, default_config, main, parse_config, run
 
 
@@ -260,6 +260,22 @@ class TestSelfcheck:
         assert code == 4, out
         assert "[FAIL] put K=12 " in out
         assert out.splitlines()[-1].startswith("selfcheck: rough-sabr ")
+
+    def test_prices_on_the_configured_route(self, monkeypatch):
+        # on coupled the 22-price ladder costs one law and a dot product per strike
+        calls = []
+        expm_action = pricing.expm_action
+        monkeypatch.setattr(
+            pricing, "expm_action", lambda *a, **kw: calls.append(a) or expm_action(*a, **kw)
+        )
+        out = io.StringIO()
+        code = run("selfcheck", None, ["numerics.n_x=20", "numerics.m_v=20",
+                                       "numerics.method=coupled"], out=out)
+        assert len(calls) == 1
+        assert code == 4  # the exact chain breaks the ladder too (put K=20 below its bound)
+        assert "[FAIL] put K=20 " in out.getvalue()
+        summary = out.getvalue().splitlines()[-1]
+        assert summary.startswith("selfcheck: rough-heston T=1, 22 prices: ")
 
     def test_same_result_under_python_O(self):
         argv = ["-m", "roughchain", "selfcheck", "--set", "numerics.n_x=20",

@@ -14,7 +14,6 @@ from roughchain import (
     build_x_grid,
     chain_scale,
     drift_theta,
-    dump_triplets,
     laplace_constants,
     validate_generator,
 )
@@ -237,14 +236,3 @@ class TestAssemble:
     def test_markov_formulation_builds(self, heston, market, kernel):
         gens = assemble(heston, market, kernel, n=20, m=20, formulation="markov")
         assert validate_generator(gens.q)["min_off_diagonal"] >= 0.0
-
-
-def test_dump_triplets_roundtrip(heston_system):
-    text = dump_triplets(heston_system.q)
-    lines = text.strip().splitlines()
-    assert lines[0] == "row col value"
-    rows = [ln.split() for ln in lines[1:]]
-    rebuilt = np.zeros_like(heston_system.q)
-    for r, c, v in rows:
-        rebuilt[int(r), int(c)] = float(v)
-    assert np.array_equal(rebuilt, heston_system.q)

@@ -84,12 +84,3 @@ class TestXGrid:
         g = build_x_grid(50, market, sabr, spec, vg)
         f_v = np.asarray(transform_f(vg.nodes, sabr, spec, "stable"))
         assert (g.nodes[None, :] + market.rho * f_v[:, None]).min() > 0
-
-
-def test_csv_dump(market):
-    g = build_variance_grid(5, market)
-    text = g.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "index,node,spacing_to_next"
-    assert len(lines) == 6
-    assert float(lines[1].split(",")[1]) == g.nodes[0]

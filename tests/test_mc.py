@@ -197,14 +197,6 @@ class TestL2Rate:
         b = simulate_v(heston, market, mc, 1.0, kernel, perturbed=True)
         assert float(np.mean((a[:, -1] - b[:, -1]) ** 2)) == 0.0
 
-    def test_gaps_csv(self):
-        from roughchain import gaps_to_csv
-
-        text = gaps_to_csv([(1e-4, 2.5e-3), (1e-3, 7.5e-3)])
-        lines = text.strip().splitlines()
-        assert lines[0] == "eps,l2_gap_squared"
-        assert float(lines[1].split(",")[1]) == 2.5e-3
-
     def test_needs_two_eps(self, heston, market):
         from roughchain import ParameterError
 

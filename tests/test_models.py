@@ -70,6 +70,10 @@ class TestMakeModel:
         ("rough-quadratic-slv", {"theta": 0.0}, "theta > 0"),
         ("rough-quadratic-slv", {"sigma": 0.0}, "sigma > 0"),
         ("rough-quadratic-slv", {"b": 1.0}, "4ac > b^2"),
+        ("rough-heston", {"eta": 0.0}, "eta > 0"),
+        ("rough-heston", {"theta": -0.01}, "theta > 0"),
+        ("rough-42", {"eta": -1.0}, "eta > 0"),
+        ("rough-42", {"theta": 0.0}, "theta > 0"),
     ])
     def test_each_domain_check_names_itself(self, name, bad, what):
         with pytest.raises(ParameterError) as err:

@@ -6,10 +6,12 @@ import pytest
 
 from roughchain import (
     MODEL_NAMES,
+    McConfig,
     OptionSpec,
     ParameterError,
     assemble,
     make_model,
+    mc_price,
     payoff_vector,
     price_bermudan,
     price_european_coupled,
@@ -73,10 +75,10 @@ class TestEuropean:
         fwd = price_european_coupled(OptionSpec("call", 0.0, 1.0), heston_system).price
         assert abs((call - put) - (fwd - 4.0)) <= 1e-10 * max(1.0, fwd)
 
-    def test_discounting(self, heston_system):
-        flat = price_fast(CALL, heston_system).price
-        disc = price_fast(OptionSpec("call", 4.0, 1.0, rate=0.05), heston_system)
-        assert disc.price < flat
+    def test_discounting(self, heston_rate_system):
+        res = price_fast(CALL, heston_rate_system)
+        p, _ = pricing._terminal(heston_rate_system, 1.0, res.diagnostics["n_slices"])
+        assert res.price < np.vdot(p, payoff_vector(CALL, heston_rate_system))
 
     def test_diagnostics_fields(self, heston_system):
         res = price_fast(CALL, heston_system)
@@ -123,20 +125,29 @@ class TestTerminalLaw:
         assert abs(p.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_forward_pass_matches_backward(self, name, all_models, market, kernel):
-        # the same operators associated the other way: equal up to rounding
-        gens = assemble(all_models[name], market, kernel, n=24, m=24)
-        l0, i0 = gens.anchor_indices
-        for t, kind, strike, barrier, rate in itertools.product(
-            (0.25, 1.0), ("call", "put"), (0.0, 4.0, 7.0, 10.0, 13.0, 16.0),
-            (None, (2.0, 15.0)), (0.0, 0.05),
-        ):
-            option = OptionSpec(kind, strike, t, rate=rate, barrier=barrier)
-            n = pricing._auto_slices(gens, t, 48)
-            pay = payoff_vector(option, gens)
-            back = np.exp(-rate * t) * pricing._propagate(gens, pay, t, n, None)[l0, i0]
-            gap = abs(price_fast(option, gens).price - back)
-            assert gap <= 1e-11 and gap <= 1e-12 * abs(back), (option, gap)
+    def test_forward_pass_matches_backward(self, name, market, kernel):
+        # fast: the same operators associated the other way, equal up to
+        # rounding; coupled: two uniformization series, each within _TOL
+        params = model_params(name)
+        for p in [params] + ([params | {"r": 0.05}] if "r" in params else []):
+            gens = assemble(make_model(name, p), market, kernel, n=24, m=24)
+            rate = gens.model.rates[0]
+            l0, i0 = gens.anchor_indices
+            for t, kind, strike, barrier in itertools.product(
+                (0.25, 1.0), ("call", "put"), (0.0, 4.0, 7.0, 10.0, 13.0, 16.0),
+                (None, (2.0, 15.0)),
+            ):
+                option = OptionSpec(kind, strike, t, barrier=barrier)
+                d = np.exp(-rate * t)
+                pay = payoff_vector(option, gens)
+                n = pricing._auto_slices(gens, t, 48)
+                back = d * pricing._propagate(gens, pay, t, n)[l0, i0]
+                gap = abs(price_fast(option, gens).price - back)
+                assert gap <= 1e-11 and gap <= 1e-12 * abs(back), (option, gap)
+                if strike in (0.0, 10.0, 16.0):  # each coupled reference is a backward run
+                    back = d * pricing._propagate(gens, pay, t, None)[l0, i0]
+                    gap = abs(price_european_coupled(option, gens).price - back)
+                    assert gap <= 1e-10, ("coupled", option, gap)
 
     def test_second_price_reuses_the_law(self, heston, market, kernel, monkeypatch):
         gens = assemble(heston, market, kernel, n=24, m=24)
@@ -151,13 +162,67 @@ class TestTerminalLaw:
         assert first.diagnostics["terminal_cache_hit"] is False
         assert second.diagnostics["terminal_cache_hit"] is True
 
+    def test_coupled_second_price_reuses_the_law(self, heston, market, kernel, monkeypatch):
+        gens = assemble(heston, market, kernel, n=24, m=24)
+        first = price_european_coupled(CALL, gens)
+        calls = []
+        expm_action = pricing.expm_action
+        monkeypatch.setattr(
+            pricing, "expm_action", lambda *a, **kw: calls.append(a) or expm_action(*a, **kw)
+        )
+        later = [price_european_coupled(option, gens) for option in (
+            OptionSpec("call", 7.0, 1.0), OptionSpec("put", 10.0, 1.0),
+            OptionSpec("put", 10.0, 1.0, barrier=(2.0, 15.0)),
+        )]
+        assert calls == []
+        assert first.diagnostics["terminal_cache_hit"] is False
+        assert all(res.diagnostics["terminal_cache_hit"] is True for res in later)
+        assert set(first.diagnostics) >= {"forward_defect", "wall_mass"}
+
+    def test_europeans_never_run_backward(self, heston_system, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("backward induction for a European")
+
+        monkeypatch.setattr(pricing, "_backward", refuse)
+        for option in (CALL, OptionSpec("put", 10.0, 1.0, barrier=(2.0, 15.0))):
+            price_fast(option, heston_system)
+            price_european_coupled(option, heston_system)
+
     def test_forward_defect(self, market, kernel):
         r, q, t = 0.05, 0.02, 1.0
         params = dict(model_params("rough-heston"), r=r, q=q)
         gens = assemble(make_model("rough-heston", params), market, kernel, n=24, m=24)
-        res = price_fast(OptionSpec("call", 0.0, t, rate=r), gens)
+        res = price_fast(OptionSpec("call", 0.0, t), gens)
         want = np.exp(r * t) * res.price - market.s0 * np.exp((r - q) * t)
         assert abs(res.diagnostics["forward_defect"] - want) <= 1e-12
+
+
+class TestRate:
+    """Every pricer discounts at the model's r; OptionSpec.rate may only repeat it."""
+
+    def test_unset_rate_discounts_at_the_model_r(self, heston_rate_system):
+        put = OptionSpec("put", 12.0, 1.0)
+        res = price_fast(put, heston_rate_system)
+        p, _ = pricing._terminal(heston_rate_system, 1.0, res.diagnostics["n_slices"])
+        want = np.exp(-0.05) * np.vdot(p, payoff_vector(put, heston_rate_system))
+        assert res.price == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("route, dates", [
+        ("fast", None), ("coupled", None), ("fast", 4), ("coupled", 4), ("mc", None),
+    ])
+    def test_every_route_takes_the_model_r(self, route, dates, heston_rate_system):
+        gens = heston_rate_system
+
+        def price(rate):
+            option = OptionSpec("put", 12.0, 1.0, rate=rate, bermudan_dates=dates)
+            if route == "mc":
+                mc = McConfig(paths=512, steps=16, seed=3)
+                return mc_price(option, gens.model, gens.market, gens.kernel, mc)
+            return (price_fast if route == "fast" else price_european_coupled)(option, gens).price
+
+        assert price(None) == price(0.05)
+        with pytest.raises(ParameterError, match=r"option rate 0\.03 .* r = 0\.05"):
+            price(0.03)
 
 
 class TestBarrier:
@@ -208,12 +273,11 @@ class TestBermudan:
             ).price
             assert abs(eu - berm) <= 1e-9 * max(1.0, eu), route
 
-    def test_put_premium_monotone_in_nested_dates(self, heston_system):
+    def test_put_premium_monotone_in_nested_dates(self, heston_rate_system):
         for route, (_, bermudan) in ROUTES.items():
             prices = [
                 bermudan(
-                    OptionSpec("put", 12.0, 1.0, rate=0.05, bermudan_dates=n),
-                    heston_system,
+                    OptionSpec("put", 12.0, 1.0, bermudan_dates=n), heston_rate_system
                 ).price
                 for n in (1, 2, 4, 8)
             ]
