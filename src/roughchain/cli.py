@@ -53,8 +53,8 @@ def default_config() -> dict:
         "kernel": dict(presets.BASE_KERNEL),
         "numerics": {
             "n_x": 100, "m_v": 100, "method": "fast",
-            "formulation": "stable", "n_slices": 48,
-            "v_bounds": None, "x_bounds": None, "bermudan_dates": None,
+            "formulation": "stable", "v_bounds": None, "x_bounds": None,
+            "bermudan_dates": None,
         },
         "option": dict(presets.BASE_OPTION, barrier=None),
         "mc": {"paths": 100000, "steps": 256, "seed": 20240, "antithetic": False},
@@ -82,11 +82,16 @@ def parse_config(doc: dict) -> dict:
     model = cfg["model"]
     if "params" not in doc.get("model", {}) and model["name"] in MODEL_NAMES:
         model["params"] = presets.model_params(model["name"])
-    for block, key in (("numerics", "n_x"), ("numerics", "m_v"), ("numerics", "n_slices"),
+    for block, key in (("numerics", "n_x"), ("numerics", "m_v"),
                        ("mc", "paths"), ("mc", "steps"), ("mc", "seed")):
         value = cfg[block][key]
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{block}.{key} must be an integer, got {value!r}")
+    for key in ("v_bounds", "x_bounds"):
+        value = cfg["numerics"][key]
+        if value is not None and not (isinstance(value, (list, tuple)) and len(value) == 2
+                                      and all(type(b) in (int, float) for b in value)):
+            raise ConfigError(f"numerics.{key} must be null or two numbers, got {value!r}")
     return cfg
 
 
@@ -140,10 +145,9 @@ def _build_system(cfg: dict) -> ctmc.GeneratorSet:
 
 def _option_from(cfg: dict) -> OptionSpec:
     opt = cfg["option"]
-    barrier = tuple(opt["barrier"]) if opt.get("barrier") else None
     return OptionSpec(
         kind=opt["kind"], strike=opt["strike"], maturity=opt["maturity"],
-        barrier=barrier, bermudan_dates=cfg["numerics"].get("bermudan_dates"),
+        barrier=opt["barrier"] or None, bermudan_dates=cfg["numerics"]["bermudan_dates"],
     )
 
 
@@ -154,7 +158,7 @@ def _price(cfg: dict, gens: ctmc.GeneratorSet, option: OptionSpec | None = None)
     if num["method"] == "coupled":
         return price_european_coupled(option, gens)
     if num["method"] == "fast":
-        return price_fast(option, gens, n_slices=num["n_slices"])
+        return price_fast(option, gens)
     raise ConfigError(f"unknown numerics.method {num['method']!r}")
 
 

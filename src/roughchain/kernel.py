@@ -57,6 +57,11 @@ class KernelSpec:
     eps: float
 
     def __post_init__(self):
+        for name in ("hurst", "eps"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except (TypeError, ValueError):
+                raise ParameterError(f"{name} must be a number") from None
         if not 0.0 < self.hurst <= 0.5:
             raise ParameterError(f"hurst must be in (0, 0.5], got {self.hurst}")
         if not self.eps > 0.0:

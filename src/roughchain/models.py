@@ -134,7 +134,12 @@ def _validated(name: str, params: dict) -> dict:
         raise ParameterError(f"{name}: missing parameters {missing}")
     if extra:
         raise ParameterError(f"{name}: unknown parameters {extra}")
-    p = {k: float(params[k]) for k in keys}
+    p = {}
+    for k in keys:
+        try:
+            p[k] = float(params[k])
+        except (TypeError, ValueError):
+            raise ParameterError(f"{name}: parameter {k} must be a number") from None
     for what, holds in checks:
         if not holds(p):
             raise ParameterError(f"{name}: parameter domain violated: {what}")

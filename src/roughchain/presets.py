@@ -25,7 +25,6 @@ __all__ = ["BASE_MARKET", "BASE_KERNEL", "BASE_OPTION", "model_params", "REFEREN
 BASE_MARKET = {"s0": 10.0, "v0": 0.04, "rho": -0.75}
 BASE_KERNEL = {"hurst": 0.12, "eps": 1e-8}
 BASE_OPTION = {"kind": "call", "strike": 4.0, "maturity": 1.0}
-BASE_BARRIER = (2.0, 15.0)
 
 _SHARED = {"r": 0.0, "q": 0.0, "eta": 4.0, "theta": 0.035, "sigma": 0.8}
 

@@ -12,7 +12,10 @@ anchor, comes from one forward pass and is cached per system, route and T,
 so further strikes, kinds and barriers at T cost a dot product.  An option
 with ``bermudan_dates`` runs backward induction, B_k = max(e^{-r dt} P(dt)
 B_{k+1}, payoff), over its equally spaced dates.  Every price discounts at
-the model's r.  ``price_bermudan`` is the fast route for an option that must
+the model's r.  The engine picks the fast route's slice count,
+max(48, ceil(16 sqrt(nu_Lambda T))) capped at 4096 (``_auto_slices``), and
+spreads it over the dates: ceil(n / dates) slices per date, one date for
+the law.  ``price_bermudan`` is the fast route for an option that must
 carry dates.
 """
 
@@ -29,6 +32,7 @@ from .errors import DomainError, ParameterError
 from .matexp import expm_action, expm_dense
 
 _TOL = 1e-10  # absolute truncation error of a coupled price's uniformization series
+_MIN_SLICES = 48  # floor of the fast route's Strang slice count over T
 _ROUNDOFF = 1e-10  # slack of the model-free ladder constraints
 
 __all__ = [
@@ -72,7 +76,11 @@ class OptionSpec:
         if not self.maturity > 0:
             raise ParameterError("maturity must be positive")
         if self.barrier is not None:
-            lo, up = self.barrier
+            try:
+                lo, up = map(float, self.barrier)
+            except (TypeError, ValueError):
+                raise ParameterError(f"barrier must be two numbers, got {self.barrier!r}") from None
+            object.__setattr__(self, "barrier", (lo, up))
             if not 0.0 <= lo < up:
                 raise ParameterError(f"barrier needs 0 <= L < U, got {self.barrier}")
         if self.bermudan_dates is not None and self.bermudan_dates < 1:
@@ -118,51 +126,34 @@ def payoff_vector(option: OptionSpec, gens: GeneratorSet) -> np.ndarray:
     return option.payoff(gens.asset_states)
 
 
-def _result(price, option, gens, method, t0, extra=None):
-    diag = {
-        "method": method,
-        "n": gens.n,
-        "m": gens.m,
-        "eps": gens.kernel.eps,
-        "hurst": gens.kernel.hurst,
-        "formulation": gens.formulation,
-        "kind": option.kind,
-        "strike": option.strike,
-        "maturity": option.maturity,
-        "wall_time": time.perf_counter() - t0,
-    }
-    report = gens.q_report
-    diag["validation"] = {
-        "q_max_abs_row_sum": report["max_abs_row_sum"],
-        "q_min_off_diagonal": report["min_off_diagonal"],
-    }
-    if extra:
-        diag.update(extra)
-    return PriceResult(price=float(price), diagnostics=diag)
-
-
-def _auto_slices(gens: GeneratorSet, t: float, floor: int) -> int:
-    """Slice count for the Strang product, scaled to the regime-chain stiffness.
+def _auto_slices(gens: GeneratorSet, t: float) -> int:
+    """Strang slice count over time t, scaled to the regime-chain stiffness.
 
     The splitting error grows with the commutator of the two factor
-    generators; 16 sqrt(nu_Lambda T) slices keep the relative price error
-    well below 1e-3 across the model families (verified against the coupled
-    route), with stiff regime chains (e.g. inverse-variance volatility terms)
-    driving the count up.
+    generators; 16 sqrt(nu_Lambda T) slices, and never fewer than
+    _MIN_SLICES, keep the relative price error well below 1e-3 across the
+    model families (verified against the coupled route), with stiff regime
+    chains (e.g. inverse-variance volatility terms) driving the count up.
     """
-    return int(min(max(floor, np.ceil(16.0 * np.sqrt(max(gens.nu_lambda * t, 0.0)))), 4096))
+    return int(min(max(_MIN_SLICES, np.ceil(16.0 * np.sqrt(max(gens.nu_lambda * t, 0.0)))), 4096))
 
 
 def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: bool = False):
     """Advance the (M, N) value array w by time t under the chain.
 
-    With an int ``n_slices``: the Strang product PQh (PL PQ)^(n-1) PL PQh
-    over n slices of t/n, from step operators cached on ``gens`` per (n, t);
-    with ``forward``, w is a law and the transposed (palindromic) product acts.
-    With None: the exact action exp(coupled t) w by uniformization to _TOL.
+    With ``forward``, w is a law and the transposed semigroup acts.  With an
+    int ``n_slices``: the Strang product PQh (PL PQ)^(n-1) PL PQh over n
+    slices of t/n, from step operators cached on ``gens`` per (n, t).  With
+    None: the exact action exp(coupled t) w by uniformization, whose series
+    stops at _TOL; a law's series stops where the omitted mass times max |s|
+    is at most _TOL, so the price of any call, and of any put with
+    K <= max |s|, is within _TOL of the exact law's.
     """
     if n_slices is None:
-        return expm_action(gens.coupled, w.ravel(), t, tol=_TOL).reshape(w.shape)
+        gen, tol = gens.coupled, _TOL
+        if forward:
+            gen, tol = gen.T, _TOL / np.abs(gens.asset_states).max()
+        return expm_action(gen, w.ravel(), t, tol=tol).reshape(w.shape)
     key = (n_slices, t)
     if key not in gens._step_cache:
         dt = t / n_slices
@@ -185,23 +176,16 @@ def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: b
 def _terminal(gens: GeneratorSet, t: float, n_slices: int | None):
     """Law p_T at t of the chain started at the anchor, and its diagnostics.
 
-    One forward pass, cached under (n_slices, t) beside any step operators:
-    with an int ``n_slices`` the transposed Strang product, with None the
-    exact action exp(coupled^T t) e_anchor, whose series stops where the
-    omitted mass times max |s| is at most _TOL (so the price of any call,
-    and of any put with K <= max |s|, is within _TOL of the exact law's).
-    Diagnostics: the forward defect p_T . s - s0 e^{(r-q)t} and wall masses.
+    One forward ``_propagate``, cached under (n_slices, t) beside any step
+    operators.  Diagnostics: the forward defect p_T . s - s0 e^{(r-q)t} and
+    the mass on each truncation wall.
     """
     key = (n_slices, t)
     hit = "law" in gens._step_cache.get(key, {})
     if not hit:
         p = np.zeros((gens.m, gens.n))
         p[gens.anchor_indices] = 1.0
-        if n_slices is None:
-            tol = _TOL / np.abs(gens.asset_states).max()
-            p = expm_action(gens.coupled.T, p.ravel(), t, tol=tol).reshape(p.shape)
-        else:
-            p = _propagate(gens, p, t, n_slices, forward=True)
+        p = _propagate(gens, p, t, n_slices, forward=True)
         r, q = gens.model.rates
         walls = {"v_low": p[0], "v_high": p[-1], "x_low": p[:, 0], "x_high": p[:, -1]}
         gens._step_cache.setdefault(key, {})["law"] = (p, {
@@ -213,63 +197,50 @@ def _terminal(gens: GeneratorSet, t: float, n_slices: int | None):
     return p, dict(diag, terminal_cache_hit=hit)
 
 
-def _backward(option: OptionSpec, gens: GeneratorSet, n_slices):
-    """Backward induction over the option's exercise dates.
-
-    Each date step discounts, propagates and exercises, max(w, payoff).
-    ``n_slices`` selects the route as in ``_propagate``; on the fast route it
-    is the floor of the total slice count, spread evenly over dates.
-    """
+def _price(option: OptionSpec, gens: GeneratorSet, method: str) -> PriceResult:
+    """The pass rule of the module docstring on route ``method``, "fast" or "coupled"."""
     t0 = time.perf_counter()
-    pay = payoff_vector(option, gens)
-    dates = option.bermudan_dates
-    dt = option.maturity / dates
+    t, dates = option.maturity, option.bermudan_dates or 1
+    dt = t / dates
+    n = -(-_auto_slices(gens, t) // dates) if method == "fast" else None
     disc = np.exp(-_rate(option, gens.model) * dt)
-    extra = {"bermudan_dates": dates}
-    per_date = None
-    if n_slices is not None:
-        per_date = -(-_auto_slices(gens, option.maturity, n_slices) // dates)
-        extra["n_slices"] = per_date * dates
-    w = pay
-    for _ in range(dates):
-        w = np.maximum(disc * _propagate(gens, w, dt, per_date), pay)
-    l0, i0 = gens.anchor_indices
-    return _result(w[l0, i0], option, gens, "coupled" if n_slices is None else "fast", t0, extra)
-
-
-def _price(option: OptionSpec, gens: GeneratorSet, n_slices):
-    """One rule for both routes: exercise runs backward, everything else on p_T."""
+    pay = payoff_vector(option, gens)
     if option.bermudan_dates:
-        return _backward(option, gens, n_slices)
-    t0 = time.perf_counter()
-    t = option.maturity
-    n = None if n_slices is None else _auto_slices(gens, t, n_slices)
-    disc = np.exp(-_rate(option, gens.model) * t)
-    p, extra = _terminal(gens, t, n)
-    price = disc * np.vdot(p, payoff_vector(option, gens))
+        w = pay
+        for _ in range(dates):
+            w = np.maximum(disc * _propagate(gens, w, dt, n), pay)
+        price, extra = w[gens.anchor_indices], {"bermudan_dates": dates}
+    else:
+        p, extra = _terminal(gens, t, n)
+        price = disc * np.vdot(p, pay)
     if n is not None:
-        extra["n_slices"] = n
-    return _result(price, option, gens, "coupled" if n is None else "fast", t0, extra)
+        extra["n_slices"] = n * dates
+    return PriceResult(price=float(price), diagnostics={
+        "method": method, "n": gens.n, "m": gens.m,
+        "eps": gens.kernel.eps, "hurst": gens.kernel.hurst, "formulation": gens.formulation,
+        "kind": option.kind, "strike": option.strike, "maturity": option.maturity,
+        "wall_time": time.perf_counter() - t0,
+        "validation": {"q_max_abs_row_sum": gens.q_report["max_abs_row_sum"],
+                       "q_min_off_diagonal": gens.q_report["min_off_diagonal"]},
+        **extra,
+    })
 
 
-def price_fast(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> PriceResult:
-    """Production route, M small exponentials instead of one NM x NM one.
-
-    ``n_slices`` is a floor that stiff regime chains raise (``_auto_slices``).
-    """
-    return _price(option, gens, n_slices)
+def price_fast(option: OptionSpec, gens: GeneratorSet) -> PriceResult:
+    """Production route, M small exponentials instead of one NM x NM one."""
+    return _price(option, gens, "fast")
 
 
 def price_european_coupled(option: OptionSpec, gens: GeneratorSet) -> PriceResult:
     """Oracle route: the exact coupled semigroup exp(coupled t) by uniformization."""
-    return _price(option, gens, None)
+    return _price(option, gens, "coupled")
 
 
-def price_bermudan(option: OptionSpec, gens: GeneratorSet, n_slices: int = 48) -> PriceResult:
+def price_bermudan(option: OptionSpec, gens: GeneratorSet) -> PriceResult:
     """Bermudan price on the fast route; the option must carry dates."""
     if option.bermudan_dates is None:
         raise ParameterError("price_bermudan needs option.bermudan_dates")
-    return _backward(option, gens, n_slices)
+    return _price(option, gens, "fast")
 
 
 def ladder_violations(kind, strikes, prices, s0, r, q, t) -> list[str]:

@@ -24,7 +24,7 @@ def _run(command, tmp_path, config=None, overrides=(), sweep="eps"):
     return code, buf.getvalue()
 
 
-SMALL = {"numerics": {"n_x": 20, "m_v": 20, "n_slices": 32}}
+SMALL = {"numerics": {"n_x": 20, "m_v": 20}}
 
 
 class TestConfig:
@@ -107,6 +107,10 @@ class TestPriceCommand:
         "mc.paths=true",
         "mc.steps=2.0",
         "mc.seed=1.5",
+        "numerics.v_bounds=[0.1]",
+        "option.barrier=[15]",
+        "kernel.hurst=abc",
+        "model.params.sigma=x",
     ])
     def test_malformed_value_exit_code(self, tmp_path, override):
         code, _ = _run("price", tmp_path, config=SMALL, overrides=[override])
@@ -133,6 +137,11 @@ class TestPriceCommand:
         code, _ = _run("price", tmp_path, config=SMALL, overrides=["option.rate=0.05"])
         assert code == 2
 
+    def test_removed_n_slices_key_rejected(self, tmp_path):
+        # the engine picks the slice count; there is no floor to set
+        code, _ = _run("price", tmp_path, config=SMALL, overrides=["numerics.n_slices=48"])
+        assert code == 2
+
     def test_removed_rate_policy_key_rejected(self, tmp_path):
         # upwinding is the one row rule; there is no switch to set
         code, _ = _run(
@@ -150,8 +159,7 @@ class TestTableCommand:
         assert len(lines) == 7  # comment + header + 5 eps rows
 
     def test_grid_sweep_shape(self, tmp_path):
-        cfg = {"numerics": {"n_slices": 32}}
-        code, out = _run("table", tmp_path, config=cfg, sweep="grid")
+        code, out = _run("table", tmp_path, sweep="grid")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[1] == "n,m,price,benchmark,rel_error"
@@ -160,7 +168,7 @@ class TestTableCommand:
 
 class TestCompareMc:
     CFG = {
-        "numerics": {"n_x": 20, "m_v": 20, "n_slices": 32},
+        "numerics": {"n_x": 20, "m_v": 20},
         "mc": {"paths": 2000, "steps": 32, "seed": 1},
     }
 

@@ -211,8 +211,7 @@ class TestCoupled:
         assert np.array_equal(coupled.toarray(), want)
 
     def test_row_sums_and_shape(self, heston_system):
-        coupled = heston_system.coupled
-        rep = validate_generator(coupled)
+        rep = validate_generator(heston_system.coupled.toarray())
         assert rep["shape"] == (1600, 1600)
         assert rep["max_abs_row_sum"] <= 1e-12 * max(1.0, rep["nu"])
         assert rep["min_off_diagonal"] >= 0.0

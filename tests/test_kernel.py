@@ -95,6 +95,8 @@ class TestLaplaceConstants:
             KernelSpec(hurst=0.6, eps=1e-3)
         with pytest.raises(ParameterError):
             KernelSpec(hurst=0.12, eps=0.0)
+        with pytest.raises(ParameterError, match="hurst must be a number"):
+            KernelSpec(hurst="abc", eps=1e-3)
 
 
 class TestLaplaceQuadrature:

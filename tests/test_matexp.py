@@ -55,7 +55,7 @@ class TestBandStack:
     def test_regime_family_matches_pade(self, name, all_models, market, kernel):
         # the regime exponentials of one slice, at the slice length pricing uses
         gens = assemble(all_models[name], market, kernel, n=24, m=24)
-        dt = 1.0 / pricing._auto_slices(gens, 1.0, 48)
+        dt = 1.0 / pricing._auto_slices(gens, 1.0)
         got = expm_dense(gens.lambdas, dt)
         want = np.stack([expm_pade(lam * dt) for lam in gens.lambdas])
         assert np.abs(got - want).max() <= 1e-14

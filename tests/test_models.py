@@ -48,6 +48,10 @@ class TestMakeModel:
         with pytest.raises(ParameterError, match="unknown"):
             make_model("rough-sabr", {"sigma": 0.8, "beta": 0.7, "eta": 4.0})
 
+    def test_non_numeric_parameter_named(self):
+        with pytest.raises(ParameterError, match="parameter sigma must be a number"):
+            make_model("rough-sabr", {"sigma": "x", "beta": 0.7})
+
     def test_sabr_beta_domain(self):
         with pytest.raises(ParameterError, match="beta"):
             make_model("rough-sabr", {"sigma": 0.8, "beta": 1.0})

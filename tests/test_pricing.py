@@ -28,6 +28,11 @@ class TestOptionSpec:
         with pytest.raises(ParameterError):
             OptionSpec("call", 4.0, 1.0, barrier=(15.0, 2.0))
 
+    @pytest.mark.parametrize("barrier", [(15.0,), (2.0, 15.0, 20.0), ("a", 15.0), 15.0])
+    def test_barrier_is_two_numbers(self, barrier):
+        with pytest.raises(ParameterError, match="barrier must be two numbers"):
+            OptionSpec("call", 4.0, 1.0, barrier=barrier)
+
     def test_kind(self):
         with pytest.raises(ParameterError):
             OptionSpec("straddle", 4.0, 1.0)
@@ -120,7 +125,7 @@ class TestTerminalLaw:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_law_is_a_probability(self, name, all_models, market, kernel):
         gens = assemble(all_models[name], market, kernel, n=24, m=24)
-        p, _ = pricing._terminal(gens, 1.0, pricing._auto_slices(gens, 1.0, 48))
+        p, _ = pricing._terminal(gens, 1.0, pricing._auto_slices(gens, 1.0))
         assert p.min() >= 0.0
         assert abs(p.sum() - 1.0) <= 1e-12
 
@@ -140,7 +145,7 @@ class TestTerminalLaw:
                 option = OptionSpec(kind, strike, t, barrier=barrier)
                 d = np.exp(-rate * t)
                 pay = payoff_vector(option, gens)
-                n = pricing._auto_slices(gens, t, 48)
+                n = pricing._auto_slices(gens, t)
                 back = d * pricing._propagate(gens, pay, t, n)[l0, i0]
                 gap = abs(price_fast(option, gens).price - back)
                 assert gap <= 1e-11 and gap <= 1e-12 * abs(back), (option, gap)
@@ -180,10 +185,14 @@ class TestTerminalLaw:
         assert set(first.diagnostics) >= {"forward_defect", "wall_mass"}
 
     def test_europeans_never_run_backward(self, heston_system, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("backward induction for a European")
+        propagate = pricing._propagate
 
-        monkeypatch.setattr(pricing, "_backward", refuse)
+        def forward_only(*args, forward=False):
+            if not forward:
+                raise AssertionError("backward induction for a European")
+            return propagate(*args, forward=forward)
+
+        monkeypatch.setattr(pricing, "_propagate", forward_only)
         for option in (CALL, OptionSpec("put", 10.0, 1.0, barrier=(2.0, 15.0))):
             price_fast(option, heston_system)
             price_european_coupled(option, heston_system)
@@ -297,6 +306,17 @@ class TestBermudan:
     def test_requires_dates(self, heston_system):
         with pytest.raises(ParameterError):
             price_bermudan(CALL, heston_system)
+
+    def test_one_pass_for_both_entry_points(self, heston_rate_system):
+        # price_bermudan is price_fast for an option with dates; the engine's
+        # slice count over T is spread evenly over the dates
+        gens, put = heston_rate_system, OptionSpec("put", 12.0, 1.0, bermudan_dates=4)
+        fast, berm = price_fast(put, gens), price_bermudan(put, gens)
+        assert fast.price == berm.price
+        for res in (fast, berm):
+            res.diagnostics.pop("wall_time")
+        assert fast.diagnostics == berm.diagnostics
+        assert fast.diagnostics["n_slices"] == 4 * -(-pricing._auto_slices(gens, 1.0) // 4)
 
 
 class TestMarkovFormulation:
