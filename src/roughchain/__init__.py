@@ -32,10 +32,10 @@ from .models import (
     MODEL_NAMES,
     MarketParams,
     ModelSpec,
+    chain_model,
     chain_scale,
     drift_theta,
     make_model,
-    transform_f,
 )
 from .pricing import (
     OptionSpec,

@@ -87,6 +87,8 @@ def parse_config(doc: dict) -> dict:
         value = cfg[block][key]
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{block}.{key} must be an integer, got {value!r}")
+    if not isinstance(cfg["mc"]["antithetic"], bool):
+        raise ConfigError(f"mc.antithetic must be true or false, got {cfg['mc']['antithetic']!r}")
     for key in ("v_bounds", "x_bounds"):
         value = cfg["numerics"][key]
         if value is not None and not (isinstance(value, (list, tuple)) and len(value) == 2

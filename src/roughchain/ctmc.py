@@ -26,8 +26,8 @@ from scipy import sparse
 
 from .errors import GeneratorError
 from .grids import Grid, build_variance_grid, build_x_grid
-from .kernel import KernelSpec, laplace_constants
-from .models import MarketParams, ModelSpec, chain_scale, drift_theta, transform_f
+from .kernel import KernelSpec
+from .models import MarketParams, ModelSpec, asset_level, chain_model, drift_theta, variance_drift
 
 __all__ = [
     "GeneratorSet",
@@ -84,15 +84,11 @@ def build_Q(
     model: ModelSpec,
     market: MarketParams,
     kernel: KernelSpec,
-    formulation: str = "stable",
 ) -> np.ndarray:
-    """Variance-chain generator with drift (v-v0) Rhat + c b(v), diffusion (c sigma)^2."""
-    c = chain_scale(kernel, formulation)
-    _, _, rhat = laplace_constants(kernel)
+    """Variance-chain generator of a chain model: drift `variance_drift`, diffusion sigma^2."""
     v = vgrid.nodes
-    drift = (v - market.v0) * rhat + c * model.b(v)
-    diff2 = (c * model.sigma(v)) ** 2
-    return tridiagonal_generator(vgrid, drift, diff2)
+    drift = variance_drift(v, model, market, kernel)
+    return tridiagonal_generator(vgrid, drift, model.sigma(v) ** 2)
 
 
 def build_lambda_family(
@@ -101,15 +97,14 @@ def build_lambda_family(
     model: ModelSpec,
     market: MarketParams,
     kernel: KernelSpec,
-    formulation: str = "stable",
 ) -> np.ndarray:
-    """Auxiliary-chain generators at frozen variance levels, built in one pass.
+    """Auxiliary-chain generators of a chain model at frozen variance levels, in one pass.
 
     A scalar level gives one (N, N) generator; an array of levels gives the
     stack, shape levels.shape + (N, N).
     """
     v = np.asarray(levels, float)[..., None]
-    th = drift_theta(xgrid.nodes, v, model, market, kernel, formulation)
+    th = drift_theta(xgrid.nodes, v, model, market, kernel)
     diff2 = (1.0 - market.rho**2) * model.phi(v) ** 2
     return tridiagonal_generator(xgrid, th, diff2)
 
@@ -156,12 +151,15 @@ def validate_generator(gen: np.ndarray) -> dict:
 
 @dataclass
 class GeneratorSet:
-    """Grids, generators and the build context of one chain system."""
+    """Grids, generators and the build context of one chain system.
+
+    ``model`` is the true model, not the chain model the generators run."""
 
     q: np.ndarray
     lambdas: np.ndarray
     vgrid: Grid
     xgrid: Grid
+    asset_states: np.ndarray     # s = g^{-1}(x_i + rho f(v_l)), shape (M, N)
     model: ModelSpec
     market: MarketParams
     kernel: KernelSpec
@@ -191,15 +189,6 @@ class GeneratorSet:
         """Largest exit rate of the regime chains, max_l max_i |Lambda_l[i, i]|."""
         return float(np.abs(np.diagonal(self.lambdas, axis1=1, axis2=2)).max())
 
-    @cached_property
-    def asset_states(self) -> np.ndarray:
-        """Reconstructed asset levels s = g^{-1}(x_i + rho f(v_l)), shape (M, N)."""
-        f_v = np.asarray(
-            transform_f(self.vgrid.nodes, self.model, self.kernel, self.formulation)
-        )
-        args = self.xgrid.nodes[None, :] + self.market.rho * f_v[:, None]
-        return self.model.g_inverse(args)
-
     @property
     def anchor_indices(self) -> tuple[int, int]:
         """(variance index l0, auxiliary index i0) of the initial state."""
@@ -216,19 +205,20 @@ def assemble(
     x_bounds: tuple[float, float] | None = None,
     formulation: str = "stable",
 ) -> GeneratorSet:
-    """Build grids and both generator layers for one model/market/kernel."""
+    """Build grids and both generator layers on the chain model of ``formulation``."""
+    chain = chain_model(model, kernel, formulation)
     vgrid = build_variance_grid(m, market, v_bounds)
-    xgrid = build_x_grid(n, market, model, kernel, vgrid, x_bounds, formulation)
+    xgrid = build_x_grid(n, market, chain, vgrid, x_bounds)
     # coefficient positivity on the state rectangle
     v = vgrid.nodes
     if np.any(model.phi(v) <= 0) or np.any(model.sigma(v) <= 0):
         raise GeneratorError("phi or sigma not positive on the variance grid")
-    q = build_Q(vgrid, model, market, kernel, formulation)
-    lambdas = build_lambda_family(xgrid, vgrid.nodes, model, market, kernel, formulation)
-    gens = GeneratorSet(
-        q=q, lambdas=lambdas, vgrid=vgrid, xgrid=xgrid,
+    asset_states = asset_level(xgrid.nodes, v[:, None], chain, market)
+    if np.any(model.nu(asset_states) <= 0):
+        raise GeneratorError("nu not positive on the reconstructed asset states")
+    return GeneratorSet(
+        q=build_Q(vgrid, chain, market, kernel),
+        lambdas=build_lambda_family(xgrid, v, chain, market, kernel),
+        vgrid=vgrid, xgrid=xgrid, asset_states=asset_states,
         model=model, market=market, kernel=kernel, formulation=formulation,
     )
-    if np.any(model.nu(gens.asset_states) <= 0):
-        raise GeneratorError("nu not positive on the reconstructed asset states")
-    return gens

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .kernel import KernelSpec
-from .models import MarketParams, ModelSpec, transform_f
+from .models import MarketParams, ModelSpec
 
 __all__ = ["Grid", "build_variance_grid", "build_x_grid"]
 
@@ -117,21 +116,17 @@ def build_x_grid(
     n: int,
     market: MarketParams,
     model: ModelSpec,
-    kernel: KernelSpec,
     vgrid: Grid,
     bounds: tuple[float, float] | None = None,
-    formulation: str = "stable",
 ) -> Grid:
-    """Auxiliary grid anchored at X0 = g(S0) - rho f(V0).
+    """Auxiliary grid of a chain model, anchored at X0 = g(S0) - rho f(V0).
 
     Default bounds [1e-3 X0, 4 X0] are clamped so that x + rho f(v) stays
     inside the open image of g for every node of ``vgrid`` (relevant for the
     power-transform and arctangent-transform families, whose g has a bounded
     image); a violated anchor raises.
     """
-    x0 = float(model.g(market.s0)) - market.rho * float(
-        transform_f(market.v0, model, kernel, formulation)
-    )
+    x0 = float(model.g(market.s0)) - market.rho * float(model.f_primitive(market.v0))
     lo, hi = bounds if bounds is not None else (1e-3 * x0, 4.0 * x0)
 
     # image of g probed at extreme asset levels
@@ -141,7 +136,7 @@ def build_x_grid(
         g_lo = float(model.g(-_BIG_ASSET_MULT * market.s0))
     g_hi = float(model.g(_BIG_ASSET_MULT * market.s0))
 
-    rf = market.rho * np.asarray(transform_f(vgrid.nodes, model, kernel, formulation))
+    rf = market.rho * np.asarray(model.f_primitive(vgrid.nodes))
     lo = max(lo, g_lo - float(rf.min()))
     hi = min(hi, g_hi - float(rf.max()))
     if not lo < x0 < hi:

@@ -49,6 +49,8 @@ class McConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.paths < 1 or self.steps < 1:
             raise ParameterError("paths and steps must be >= 1")
+        if not isinstance(self.antithetic, bool):
+            raise ParameterError(f"antithetic must be true or false, got {self.antithetic!r}")
 
     def n_steps(self, horizon: float) -> int:
         return max(1, int(round(self.steps * horizon)))

@@ -8,18 +8,19 @@ Every family is a pair of dynamics
 together with the decoupling transforms
 
     g(s) = int ds / nu(s)           (asset transform, strictly increasing)
-    f(v) = int phi(v) / (c sigma(v)) dv   (variance transform)
+    f(v) = int phi(v) / sigma(v) dv (variance transform)
 
-where c is the chain scale: c = Keps for the shifted-kernel Markovian system
-("markov" formulation) and c = 1 for the stabilized chain the engine prices
-with by default ("stable").  The auxiliary state is X = g(S) - rho f(V), whose
-drift `drift_theta` below is obtained from Ito's formula and is exact for any
-scale c as long as the same c is used in the variance chain, in f and in theta.
+The auxiliary state is X = g(S) - rho f(V), whose drift `drift_theta` below
+is obtained from Ito's formula.  The chain runs the variance law scaled by c:
+c = Keps for the shifted-kernel Markovian system ("markov" formulation), c = 1
+for the stabilized chain the engine prices with by default ("stable").  c
+enters once, through `chain_model`; grids and generators are built on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,9 @@ __all__ = [
     "MarketParams",
     "make_model",
     "chain_scale",
-    "transform_f",
+    "chain_model",
+    "variance_drift",
+    "asset_level",
     "drift_theta",
 ]
 
@@ -85,8 +88,8 @@ class MarketParams:
 class ModelSpec:
     """Coefficient functions and transforms of one volatility family.
 
-    All callables accept floats or numpy arrays.  ``f_primitive`` is the
-    unscaled primitive int phi/sigma; the engine divides by the chain scale.
+    All callables accept floats or numpy arrays.  ``f_primitive`` is int
+    phi/sigma of this model's own sigma, so a `chain_model` carries f/c.
     ``asset_domain`` is "positive" (S > 0) or "real"; ``g_range`` bounds the
     image of g (used to clamp auxiliary grids inside the transform domain).
     """
@@ -127,6 +130,8 @@ class ModelSpec:
 def _validated(name: str, params: dict) -> dict:
     if name not in _FAMILIES:
         raise ParameterError(f"unknown model name {name!r}; choose one of {MODEL_NAMES}")
+    if not isinstance(params, Mapping):
+        raise ParameterError(f"{name}: params must map parameter names to numbers, got {params!r}")
     keys, checks = _FAMILIES[name]
     missing = [k for k in keys if k not in params]
     extra = [k for k in params if k not in keys]
@@ -246,8 +251,7 @@ def chain_scale(kernel: KernelSpec, formulation: str = "stable") -> float:
 
     "markov" uses c = Keps (the shifted-kernel Markovian system exactly as
     derived); "stable" uses c = 1, the stabilized chain whose dynamics stay
-    bounded as eps -> 0.  The same c must be used consistently in the variance
-    generator, in transform_f and in drift_theta.
+    bounded as eps -> 0.
     """
     if formulation == "markov":
         return kernel.k_eps
@@ -256,42 +260,45 @@ def chain_scale(kernel: KernelSpec, formulation: str = "stable") -> float:
     raise ParameterError(f"unknown formulation {formulation!r}")
 
 
-def transform_f(v, model: ModelSpec, kernel: KernelSpec, formulation: str = "stable"):
-    """Variance transform f(v) = int phi/(c sigma), c = chain scale."""
-    return model.f_primitive(v) / chain_scale(kernel, formulation)
+def chain_model(model: ModelSpec, kernel: KernelSpec, formulation: str = "stable") -> ModelSpec:
+    """The model the chain runs: b, sigma and sigma' times c = chain_scale, f over c.
+
+    c enters every chain formula only so; "stable" (c = 1) is exact."""
+    c = chain_scale(kernel, formulation)
+    return replace(model, b=lambda v: c * model.b(v), sigma=lambda v: c * model.sigma(v),
+                   sigma_prime=lambda v: c * model.sigma_prime(v),
+                   f_primitive=lambda v: model.f_primitive(v) / c)
 
 
-def drift_theta(
-    x,
-    v,
-    model: ModelSpec,
-    market: MarketParams,
-    kernel: KernelSpec,
-    formulation: str = "stable",
-):
-    """Drift of the auxiliary state X = g(S) - rho f(V) at (x, v).
+def variance_drift(v, model: ModelSpec, market: MarketParams, kernel: KernelSpec):
+    """Variance-chain drift (v - V0) Rhat + b(v); on a chain model b carries c."""
+    _, _, rhat = laplace_constants(kernel)
+    return (np.asarray(v, float) - market.v0) * rhat + model.b(v)
 
-    With c the chain scale, s = g^{-1}(x + rho f(v)) and the variance-chain
-    drift d(v) = (v - V0) Rhat + c b(v):
+
+def asset_level(x, v, model: ModelSpec, market: MarketParams):
+    """Asset level s = g^{-1}(x + rho f(v)) of the auxiliary state x at variance v."""
+    return model.g_inverse(np.asarray(x, float) + market.rho * model.f_primitive(v))
+
+
+def drift_theta(x, v, model: ModelSpec, market: MarketParams, kernel: KernelSpec):
+    """Drift of the auxiliary state X = g(S) - rho f(V) at (x, v) of a chain model.
+
+    With s = g^{-1}(x + rho f(v)) and the variance-chain drift d(v):
 
         theta = (r - q) s/nu(s) - nu'(s) phi(v)^2 / 2
-                - (rho/2) c (sigma phi' - sigma' phi)(v)
-                - rho d(v) phi(v) / (c sigma(v))
+                - (rho/2) (sigma phi' - sigma' phi)(v)
+                - rho d(v) phi(v) / sigma(v)
     """
-    c = chain_scale(kernel, formulation)
-    _, _, rhat = laplace_constants(kernel)
     rho = market.rho
     r, q = model.rates
-    f_v = model.f_primitive(v) / c
-    s = model.g_inverse(np.asarray(x, float) + rho * f_v)
-    phi_v = model.phi(v)
-    sig_v = model.sigma(v)
-    wron = model.sigma(v) * model.phi_prime(v) - model.sigma_prime(v) * phi_v
-    d_v = (np.asarray(v, float) - market.v0) * rhat + c * model.b(v)
+    s = asset_level(x, v, model, market)
+    phi_v, sig_v = model.phi(v), model.sigma(v)
+    wron = sig_v * model.phi_prime(v) - model.sigma_prime(v) * phi_v
     out = (
         (r - q) * s / model.nu(s)
         - 0.5 * model.nu_prime(s) * phi_v**2
-        - 0.5 * rho * c * wron
-        - rho * d_v * phi_v / (c * sig_v)
+        - 0.5 * rho * wron
+        - rho * variance_drift(v, model, market, kernel) * phi_v / sig_v
     )
     return float(out) if np.isscalar(x) and np.isscalar(v) else out

@@ -111,10 +111,18 @@ class TestPriceCommand:
         "option.barrier=[15]",
         "kernel.hurst=abc",
         "model.params.sigma=x",
+        "model.params=5",
+        'mc.antithetic="no"',
     ])
     def test_malformed_value_exit_code(self, tmp_path, override):
         code, _ = _run("price", tmp_path, config=SMALL, overrides=[override])
         assert code == 2
+
+    def test_unknown_formulation_exit_code(self, tmp_path, capsys):
+        code, _ = _run("price", tmp_path, config=SMALL,
+                       overrides=["numerics.formulation=bogus"])
+        assert code == 2
+        assert "unknown formulation 'bogus'" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # x-bounds that exclude the anchor: the grid cannot be built

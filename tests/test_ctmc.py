@@ -12,6 +12,7 @@ from roughchain import (
     build_Q,
     build_variance_grid,
     build_x_grid,
+    chain_model,
     chain_scale,
     drift_theta,
     laplace_constants,
@@ -107,7 +108,7 @@ class TestBuildQ:
     def test_drift_and_diffusion_inputs(self, heston, market, kernel):
         vg = build_variance_grid(30, market)
         for formulation in ("stable", "markov"):
-            q = build_Q(vg, heston, market, kernel, formulation)
+            q = build_Q(vg, chain_model(heston, kernel, formulation), market, kernel)
             c = chain_scale(kernel, formulation)
             _, _, rhat = laplace_constants(kernel)
             v = vg.nodes
@@ -130,7 +131,7 @@ class TestBuildQ:
 
         spec = KernelSpec(hurst=0.12, eps=1e-6)
         vg = build_variance_grid(30, market, bounds=(0.02, 0.06))
-        q = build_Q(vg, heston, market, spec, "stable")
+        q = build_Q(vg, heston, market, spec)
         i = vg.anchor_index
         hm, hp = vg.spacings[i - 1], vg.spacings[i]
         d = heston.b(market.v0)   # (v-v0) Rhat = 0 here
@@ -140,12 +141,14 @@ class TestBuildQ:
 
 
 class TestBuildLambda:
-    def test_moment_reproduction(self, heston, market, kernel):
+    @pytest.mark.parametrize("formulation", ["stable", "markov"])
+    def test_moment_reproduction(self, heston, market, kernel, formulation):
+        chain = chain_model(heston, kernel, formulation)
         vg = build_variance_grid(10, market)
-        xg = build_x_grid(40, market, heston, kernel, vg)
+        xg = build_x_grid(40, market, chain, vg)
         v_ell = vg.nodes[5]
-        lam = build_lambda_family(xg, v_ell, heston, market, kernel)
-        want = drift_theta(xg.nodes, v_ell, heston, market, kernel)
+        lam = build_lambda_family(xg, v_ell, chain, market, kernel)
+        want = drift_theta(xg.nodes, v_ell, chain, market, kernel)
         got = lam @ xg.nodes
         assert np.abs(got[1:-1] - want[1:-1]).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
@@ -154,7 +157,7 @@ class TestBuildLambda:
 
         market = MarketParams(s0=10.0, v0=0.04, rho=0.0)
         vg = build_variance_grid(6, market)
-        xg = build_x_grid(30, market, heston, kernel, vg)
+        xg = build_x_grid(30, market, heston, vg)
         v_ell = 0.04
         lam = build_lambda_family(xg, v_ell, heston, market, kernel)
         sq = np.array([lam[i] @ (xg.nodes - xg.nodes[i]) ** 2 for i in range(1, 29)])
@@ -165,7 +168,7 @@ class TestBuildLambda:
 
         market = MarketParams(s0=10.0, v0=0.04, rho=0.9999999)
         vg = build_variance_grid(6, market)
-        xg = build_x_grid(15, market, heston, kernel, vg)
+        xg = build_x_grid(15, market, heston, vg)
         lam = build_lambda_family(xg, 0.04, heston, market, kernel)
         # essentially one off-diagonal per interior row
         for i in range(1, 14):

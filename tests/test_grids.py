@@ -3,12 +3,11 @@ import pytest
 
 from roughchain import (
     GridError,
-    KernelSpec,
     MarketParams,
     build_variance_grid,
     build_x_grid,
+    chain_model,
     make_model,
-    transform_f,
 )
 from roughchain.presets import model_params
 
@@ -51,36 +50,36 @@ class TestVarianceGrid:
 class TestXGrid:
     def test_heston_anchor_value(self, market, heston, kernel):
         vg = build_variance_grid(20, market)
-        g = build_x_grid(50, market, heston, kernel, vg, formulation="markov")
-        f0 = transform_f(0.04, heston, kernel, "markov")
+        chain = chain_model(heston, kernel, "markov")
+        g = build_x_grid(50, market, chain, vg)
+        f0 = chain.f_primitive(0.04)
         want = np.log(10.0) - (-0.75) * f0
         assert g.nodes[g.anchor_index] == pytest.approx(want, rel=1e-15)
 
-    def test_zero_correlation_anchor_is_g_s0(self, heston, kernel):
+    def test_zero_correlation_anchor_is_g_s0(self, heston):
         market = MarketParams(s0=10.0, v0=0.04, rho=0.0)
-        g = build_x_grid(50, market, heston, kernel, build_variance_grid(20, market))
+        g = build_x_grid(50, market, heston, build_variance_grid(20, market))
         assert g.nodes[g.anchor_index] == pytest.approx(np.log(10.0), rel=1e-15)
 
-    def test_minimal_grid(self, market, heston, kernel):
-        g = build_x_grid(3, market, heston, kernel, build_variance_grid(3, market))
+    def test_minimal_grid(self, market, heston):
+        g = build_x_grid(3, market, heston, build_variance_grid(3, market))
         assert len(g) == 3 and g.anchor_index == 1
 
-    def test_bounded_transform_image_is_clamped(self, market, kernel):
+    def test_bounded_transform_image_is_clamped(self, market):
         # arctangent transform: image of g is bounded; 4*X0 would overshoot it
         qslv = make_model("rough-quadratic-slv", model_params("rough-quadratic-slv"))
         vg = build_variance_grid(20, market)
-        g = build_x_grid(50, market, qslv, kernel, vg)
+        g = build_x_grid(50, market, qslv, vg)
         disc = np.sqrt(4 * 0.02 * 1.0 - 0.05**2)
         assert g.nodes[-1] < np.pi / disc
         # every node stays inside the transform domain for every regime
-        f_v = np.asarray(transform_f(vg.nodes, qslv, kernel, "stable"))
+        f_v = np.asarray(qslv.f_primitive(vg.nodes))
         args = g.nodes[None, :] + market.rho * f_v[:, None]
         qslv.g_inverse(args)  # must not raise
 
-    def test_power_transform_positive_domain(self, market, kernel):
+    def test_power_transform_positive_domain(self, market):
         sabr = make_model("rough-sabr", model_params("rough-sabr"))
         vg = build_variance_grid(20, market)
-        spec = KernelSpec(hurst=0.12, eps=1e-2)  # large f range
-        g = build_x_grid(50, market, sabr, spec, vg)
-        f_v = np.asarray(transform_f(vg.nodes, sabr, spec, "stable"))
+        g = build_x_grid(50, market, sabr, vg)
+        f_v = np.asarray(sabr.f_primitive(vg.nodes))
         assert (g.nodes[None, :] + market.rho * f_v[:, None]).min() > 0

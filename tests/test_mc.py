@@ -85,6 +85,11 @@ class TestMcPrice:
         with pytest.raises(ParameterError, match=f"{field} must be an integer"):
             McConfig(**args)
 
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_non_bool_antithetic_rejected(self, value):
+        with pytest.raises(ParameterError, match="antithetic must be true or false"):
+            McConfig(paths=10, steps=4, antithetic=value)
+
     def test_degenerate_model_prices_spot_exactly(self, heston, market, kernel):
         model = _const_coeff_model(heston, b_const=0.0, sigma_const=0.0, phi_const=0.0)
         mc = McConfig(paths=100, steps=16, seed=2)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from roughchain import (
+    MODEL_NAMES,
     DomainError,
     KernelSpec,
     MarketParams,
     ParameterError,
+    chain_model,
     chain_scale,
     drift_theta,
     laplace_constants,
     make_model,
-    transform_f,
 )
 from roughchain.presets import model_params
 
@@ -47,6 +48,10 @@ class TestMakeModel:
             make_model("rough-heston", {"r": 0.0})
         with pytest.raises(ParameterError, match="unknown"):
             make_model("rough-sabr", {"sigma": 0.8, "beta": 0.7, "eta": 4.0})
+
+    def test_params_must_be_a_mapping(self):
+        with pytest.raises(ParameterError, match="params must map"):
+            make_model("rough-heston", 5)
 
     def test_non_numeric_parameter_named(self):
         with pytest.raises(ParameterError, match="parameter sigma must be a number"):
@@ -122,7 +127,7 @@ class TestTransforms:
         assert all_models["rough-quadratic-slv"].g(10.0) == pytest.approx(G_QSLV_10, rel=1e-14)
 
     def test_heston_f_markov_scale(self, heston, kernel):
-        got = transform_f(0.04, heston, kernel, formulation="markov")
+        got = chain_model(heston, kernel, "markov").f_primitive(0.04)
         assert got == pytest.approx(F_HESTON_004_MARKOV, rel=1e-13)
 
     def test_f_numerical_integration_oracle(self, all_models, kernel):
@@ -134,7 +139,8 @@ class TestTransforms:
         u = np.linspace(lo, hi, 20001)
         integrand = model.phi(u) / (c * model.sigma(u))
         quad = np.trapezoid(integrand, u)
-        closed = transform_f(hi, model, kernel, "markov") - transform_f(lo, model, kernel, "markov")
+        chain = chain_model(model, kernel, "markov")
+        closed = chain.f_primitive(hi) - chain.f_primitive(lo)
         assert closed == pytest.approx(quad, rel=1e-8)
 
     def test_g_inverse_domain_guard(self, all_models):
@@ -163,6 +169,32 @@ class TestCoefficientDerivatives:
         assert np.abs(fd_nu - model.nu_prime(s)).max() <= 1e-6 * max(1.0, np.abs(fd_nu).max())
 
 
+class TestChainModel:
+    COEFFICIENTS = ("b", "sigma", "sigma_prime", "f_primitive")
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_stable_is_the_model_bit_for_bit(self, name, all_models, kernel):
+        model = all_models[name]
+        chain = chain_model(model, kernel, "stable")
+        v = np.linspace(0.001, 0.16, 17)
+        for coef in self.COEFFICIENTS:
+            assert np.array_equal(getattr(chain, coef)(v), getattr(model, coef)(v)), coef
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_markov_scales_by_keps(self, name, all_models):
+        model = all_models[name]
+        spec = KernelSpec(hurst=0.12, eps=1e-2)
+        c = chain_scale(spec, "markov")
+        chain = chain_model(model, spec, "markov")
+        v = np.linspace(0.001, 0.16, 17)
+        assert np.array_equal(chain.b(v), c * model.b(v))
+        assert np.array_equal(chain.sigma(v), c * model.sigma(v))
+        assert np.array_equal(chain.sigma_prime(v), c * model.sigma_prime(v))
+        assert np.array_equal(chain.f_primitive(v), model.f_primitive(v) / c)
+        # the asset side and the rates are the model's own
+        assert chain.phi is model.phi and chain.g is model.g and chain.rates == model.rates
+
+
 class TestDriftTheta:
     def test_zero_correlation_heston(self, heston, kernel):
         market = MarketParams(s0=10.0, v0=0.04, rho=0.0)
@@ -175,14 +207,15 @@ class TestDriftTheta:
         # r - q - v/2 - rho eta (theta - v)/sigma + rho (v - v0) Rhat/(c sigma)
         c = chain_scale(kernel, formulation)
         _, _, rhat = laplace_constants(kernel)
-        x0 = np.log(10.0) - market.rho * transform_f(market.v0, heston, kernel, formulation)
+        chain = chain_model(heston, kernel, formulation)
+        x0 = np.log(10.0) - market.rho * chain.f_primitive(market.v0)
         for v in (0.004, 0.04, 0.1):
             want = (
                 -v / 2
                 - market.rho * 4 * (0.035 - v) / 0.8
                 - market.rho * (v - market.v0) * rhat / (c * 0.8)
             )
-            got = drift_theta(x0, v, heston, market, kernel, formulation)
+            got = drift_theta(x0, v, chain, market, kernel)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_sabr_closed_form_row(self, all_models, kernel):
@@ -192,10 +225,11 @@ class TestDriftTheta:
         market = MarketParams(s0=10.0, v0=0.04, rho=-0.75)
         beta = 0.7
         v0 = market.v0
-        f0 = transform_f(v0, sabr, kernel, "markov")
+        chain = chain_model(sabr, kernel, "markov")
+        f0 = chain.f_primitive(v0)
         x = sabr.g(10.0) - market.rho * f0
         want = -beta * v0**2 / (2 * (1 - beta) * (x + market.rho * f0))
-        got = drift_theta(x, v0, sabr, market, kernel, "markov")
+        got = drift_theta(x, v0, chain, market, kernel)
         assert got == pytest.approx(want, abs=1e-10)
 
 
