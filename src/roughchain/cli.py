@@ -89,11 +89,20 @@ def parse_config(doc: dict) -> dict:
             raise ConfigError(f"{block}.{key} must be an integer, got {value!r}")
     if not isinstance(cfg["mc"]["antithetic"], bool):
         raise ConfigError(f"mc.antithetic must be true or false, got {cfg['mc']['antithetic']!r}")
+    num, v0 = cfg["numerics"], cfg["market"]["v0"]
+    for key in ("n_x", "m_v"):
+        if num[key] < 3:
+            raise ConfigError(f"numerics.{key} must be at least 3, got {num[key]}")
     for key in ("v_bounds", "x_bounds"):
-        value = cfg["numerics"][key]
+        value = num[key]
         if value is not None and not (isinstance(value, (list, tuple)) and len(value) == 2
                                       and all(type(b) in (int, float) for b in value)):
             raise ConfigError(f"numerics.{key} must be null or two numbers, got {value!r}")
+        if value is not None and not value[0] < value[1]:
+            raise ConfigError(f"numerics.{key} must be [lo, hi] with lo < hi, got {value!r}")
+    if num["v_bounds"] is None and type(v0) in (int, float) and not v0 > 0:
+        raise ConfigError(f"market.v0 must be positive when numerics.v_bounds is null "
+                          f"(the default grid is [1e-3 v0, 4 v0]), got {v0!r}")
     return cfg
 
 

@@ -164,7 +164,7 @@ class GeneratorSet:
     market: MarketParams
     kernel: KernelSpec
     formulation: str = "stable"
-    _step_cache: dict = field(init=False, default_factory=dict, repr=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False)  # written by pricing
 
     @property
     def m(self) -> int:

@@ -48,8 +48,6 @@ def expm_dense(gen, t: float) -> np.ndarray:
         )
     if t < 0:
         raise NumericalError("t must be nonnegative")
-    if t == 0.0:
-        return np.broadcast_to(np.eye(n), g.shape).copy()
     p = _expm_pade(g * t) if g.ndim == 2 else _band_series(g, t)
     row_defect = np.abs(p.sum(axis=-1) - 1.0).max()
     if row_defect > 1e-10:

@@ -1,8 +1,8 @@
 """Option pricing on the two-layer chain, on two routes:
 
 * ``price_fast``, the production route, steps with a Strang product of the
-  two decoupled factor semigroups (one M x M transition matrix plus M cached
-  N x N ones), so it never forms the big generator;
+  two decoupled factor semigroups (one M x M transition matrix plus M N x N
+  ones), so it never forms the big generator;
 * ``price_european_coupled``, the oracle, applies the exact exp(coupled t)
   by uniformization.
 
@@ -11,12 +11,14 @@ e^{-rT} p_T . payoff, where p_T, the law at T of the chain started at the
 anchor, comes from one forward pass and is cached per system, route and T,
 so further strikes, kinds and barriers at T cost a dot product.  An option
 with ``bermudan_dates`` runs backward induction, B_k = max(e^{-r dt} P(dt)
-B_{k+1}, payoff), over its equally spaced dates.  Every price discounts at
-the model's r.  The engine picks the fast route's slice count,
-max(48, ceil(16 sqrt(nu_Lambda T))) capped at 4096 (``_auto_slices``), and
-spreads it over the dates: ceil(n / dates) slices per date, one date for
-the law.  ``price_bermudan`` is the fast route for an option that must
-carry dates.
+B_{k+1}, payoff), over its equally spaced dates, and caches the fast
+route's step operators per slice length, the one thing they depend on; a
+law reuses them when its slices have that length, and keeps none of its own.
+Every price discounts at the model's r.  The engine picks the fast route's
+slice count, max(48, ceil(16 sqrt(nu_Lambda T))) capped at 4096
+(``_auto_slices``), and spreads it over the dates: ceil(n / dates) slices
+per date, one date for the law.  ``price_bermudan`` is the fast route for
+an option that must carry dates.
 """
 
 from __future__ import annotations
@@ -143,25 +145,24 @@ def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: b
 
     With ``forward``, w is a law and the transposed semigroup acts.  With an
     int ``n_slices``: the Strang product PQh (PL PQ)^(n-1) PL PQh over n
-    slices of t/n, from step operators cached on ``gens`` per (n, t).  With
-    None: the exact action exp(coupled t) w by uniformization, whose series
-    stops at _TOL; a law's series stops where the omitted mass times max |s|
-    is at most _TOL, so the price of any call, and of any put with
-    K <= max |s|, is within _TOL of the exact law's.
+    slices of dt = t/n, from the step operators of dt, cached as the module
+    docstring says.  With None: the exact action exp(coupled t) w by
+    uniformization, whose series stops at _TOL; a law's series stops where
+    the omitted mass times max |s| is at most _TOL, so the price of any call,
+    and of any put with K <= max |s|, is within _TOL of the exact law's.
     """
     if n_slices is None:
         gen, tol = gens.coupled, _TOL
         if forward:
             gen, tol = gen.T, _TOL / np.abs(gens.asset_states).max()
         return expm_action(gen, w.ravel(), t, tol=tol).reshape(w.shape)
-    key = (n_slices, t)
-    if key not in gens._step_cache:
-        dt = t / n_slices
-        pq_half = expm_dense(gens.q, dt / 2.0)
-        pq_full = expm_dense(gens.q, dt)
-        p_lams = expm_dense(gens.lambdas, dt)
-        gens._step_cache[key] = {"ops": (pq_half, pq_full, p_lams)}
-    pq_half, pq_full, p_lams = gens._step_cache[key]["ops"]
+    dt = t / n_slices
+    ops = gens._cache.get(("steps", dt))
+    if ops is None:
+        ops = expm_dense(gens.q, dt / 2.0), expm_dense(gens.q, dt), expm_dense(gens.lambdas, dt)
+        if not forward:
+            gens._cache["steps", dt] = ops
+    pq_half, pq_full, p_lams = ops
     if forward:
         pq_half, pq_full, p_lams = pq_half.T, pq_full.T, p_lams.transpose(0, 2, 1)
     # [PQh PL PQh]^n collapsed: adjacent half-steps merge into full steps
@@ -176,24 +177,24 @@ def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: b
 def _terminal(gens: GeneratorSet, t: float, n_slices: int | None):
     """Law p_T at t of the chain started at the anchor, and its diagnostics.
 
-    One forward ``_propagate``, cached under (n_slices, t) beside any step
-    operators.  Diagnostics: the forward defect p_T . s - s0 e^{(r-q)t} and
-    the mass on each truncation wall.
+    One forward ``_propagate``, cached on ``gens`` under ("law", n_slices, t).
+    Diagnostics: the forward defect p_T . s - s0 e^{(r-q)t} and the mass on
+    each truncation wall.
     """
-    key = (n_slices, t)
-    hit = "law" in gens._step_cache.get(key, {})
+    key = ("law", n_slices, t)
+    hit = key in gens._cache
     if not hit:
         p = np.zeros((gens.m, gens.n))
         p[gens.anchor_indices] = 1.0
         p = _propagate(gens, p, t, n_slices, forward=True)
         r, q = gens.model.rates
         walls = {"v_low": p[0], "v_high": p[-1], "x_low": p[:, 0], "x_high": p[:, -1]}
-        gens._step_cache.setdefault(key, {})["law"] = (p, {
+        gens._cache[key] = (p, {
             "forward_defect": float(np.vdot(p, gens.asset_states)
                                     - gens.market.s0 * np.exp((r - q) * t)),
             "wall_mass": {wall: float(mass.sum()) for wall, mass in walls.items()},
         })
-    p, diag = gens._step_cache[key]["law"]
+    p, diag = gens._cache[key]
     return p, dict(diag, terminal_cache_hit=hit)
 
 

@@ -113,6 +113,10 @@ class TestPriceCommand:
         "model.params.sigma=x",
         "model.params=5",
         'mc.antithetic="no"',
+        "numerics.n_x=2",
+        "numerics.v_bounds=[0.5,0.1]",
+        "numerics.x_bounds=[5,1]",
+        "market.v0=0",
     ])
     def test_malformed_value_exit_code(self, tmp_path, override):
         code, _ = _run("price", tmp_path, config=SMALL, overrides=[override])

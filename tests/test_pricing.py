@@ -121,6 +121,15 @@ class TestEuropean:
         assert gaps[-1] <= gaps[0]
 
 
+def _count_expm_dense(monkeypatch):
+    calls = []
+    expm_dense = pricing.expm_dense
+    monkeypatch.setattr(
+        pricing, "expm_dense", lambda *a, **kw: calls.append(a) or expm_dense(*a, **kw)
+    )
+    return calls
+
+
 class TestTerminalLaw:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_law_is_a_probability(self, name, all_models, market, kernel):
@@ -157,11 +166,7 @@ class TestTerminalLaw:
     def test_second_price_reuses_the_law(self, heston, market, kernel, monkeypatch):
         gens = assemble(heston, market, kernel, n=24, m=24)
         first = price_fast(CALL, gens)
-        calls = []
-        expm_dense = pricing.expm_dense
-        monkeypatch.setattr(
-            pricing, "expm_dense", lambda *a, **kw: calls.append(a) or expm_dense(*a, **kw)
-        )
+        calls = _count_expm_dense(monkeypatch)
         second = price_fast(OptionSpec("put", 10.0, 1.0, barrier=(2.0, 15.0)), gens)
         assert calls == []
         assert first.diagnostics["terminal_cache_hit"] is False
@@ -204,6 +209,54 @@ class TestTerminalLaw:
         res = price_fast(OptionSpec("call", 0.0, t), gens)
         want = np.exp(r * t) * res.price - market.s0 * np.exp((r - q) * t)
         assert abs(res.diagnostics["forward_defect"] - want) <= 1e-12
+
+
+class TestCache:
+    """Laws are kept per (slice count, T); step operators per slice length, by backward
+    induction only."""
+
+    def test_a_law_keeps_no_operators(self, heston, market, kernel):
+        gens = assemble(heston, market, kernel, n=24, m=24)
+        price_fast(CALL, gens)
+        price_fast(OptionSpec("put", 10.0, 0.5, barrier=(2.0, 15.0)), gens)
+        price_european_coupled(CALL, gens)
+        n1, n2 = pricing._auto_slices(gens, 1.0), pricing._auto_slices(gens, 0.5)
+        assert set(gens._cache) == {("law", n1, 1.0), ("law", n2, 0.5), ("law", None, 1.0)}
+
+    def test_bermudan_keeps_one_stack_per_slice_length(self, heston, market, kernel):
+        gens = assemble(heston, market, kernel, n=24, m=24)
+        for t in (1.0, 0.5):
+            res = price_fast(OptionSpec("put", 10.0, t, bermudan_dates=4), gens)
+            dt = t / res.diagnostics["n_slices"]
+            pq_half, pq_full, p_lams = gens._cache["steps", dt]
+            assert pq_half.shape == pq_full.shape == (24, 24) and p_lams.shape == (24, 24, 24)
+        assert len(gens._cache) == 2
+
+    def test_second_grid_with_the_same_slice_length_builds_nothing(
+        self, heston, market, kernel, monkeypatch
+    ):
+        gens = assemble(heston, market, kernel, n=24, m=24)
+        first = price_fast(OptionSpec("put", 10.0, 1.0, bermudan_dates=4), gens)
+        calls = _count_expm_dense(monkeypatch)
+        second = price_fast(OptionSpec("put", 10.0, 1.0, bermudan_dates=8), gens)
+        assert first.diagnostics["n_slices"] == second.diagnostics["n_slices"]  # same dt
+        assert calls == []
+        assert len(gens._cache) == 1
+
+    def test_law_reuses_a_stack_of_its_slice_length(self, heston, market, kernel, monkeypatch):
+        # as on heston_system: 48 dates of one slice and the law's 48 slices
+        # both step at 0.5 / 48
+        gens = assemble(heston, market, kernel, n=40, m=40)
+        put = OptionSpec("put", 10.0, 0.5)
+        assert pricing._auto_slices(gens, 0.5) == 48
+        price_fast(dataclasses.replace(put, bermudan_dates=48), gens)
+        calls = _count_expm_dense(monkeypatch)
+        res = price_fast(put, gens)
+        assert calls == []
+        assert res.diagnostics["terminal_cache_hit"] is False
+        fresh = price_fast(put, assemble(heston, market, kernel, n=40, m=40))
+        assert res.price == fresh.price
+        assert set(gens._cache) == {("steps", 0.5 / 48), ("law", 48, 0.5)}
 
 
 class TestRate:
