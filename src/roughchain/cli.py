@@ -21,13 +21,14 @@ import argparse
 import copy
 import io
 import json
+import math
 import os
 import sys
 
 from . import ctmc, presets
-from .errors import ConfigError, ParameterError, RoughChainError
+from .errors import ConfigError, NumericalError, ParameterError, RoughChainError
 from .kernel import KernelSpec
-from .mc import McConfig, mc_price
+from .mc import NON_FINITE_ADVICE, McConfig, mc_price
 from .models import MODEL_NAMES, MarketParams, make_model
 from .pricing import OptionSpec, ladder_violations, price_european_coupled, price_fast
 from .pricing import price_bermudan  # noqa: F401 (perfbench traces it here)
@@ -224,6 +225,9 @@ def _cmd_compare_mc(cfg: dict, provenance: dict, out) -> int:
     result = _price(cfg, gens)
     mcc = McConfig(**cfg["mc"])
     estimate, stderr = mc_price(_option_from(cfg), gens.model, gens.market, gens.kernel, mcc)
+    if not math.isfinite(estimate):
+        raise NumericalError(f"the Monte Carlo estimate of {gens.model.name} is not finite: "
+                             f"{NON_FINITE_ADVICE}")
     z = (result.price - estimate) / stderr if stderr > 0 else float("inf")
     doc = {
         "ctmc_price": float(result.price),

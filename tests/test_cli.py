@@ -197,6 +197,14 @@ class TestCompareMc:
                          overrides=["numerics.bermudan_dates=4"])
         assert code == 2 and out == ""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_monte_carlo_exits_3(self, tmp_path, capsys):
+        # rough-42's simulated variance reaches 0, where its phi is infinite
+        code, out = _run("compare-mc", tmp_path, config=self.CFG,
+                         overrides=["model.name=rough-42"])
+        assert code == 3 and out == ""
+        assert "Monte Carlo estimate of rough-42 is not finite" in capsys.readouterr().err
+
 
 def _child_env():
     """Environment for a child interpreter that imports this roughchain."""

@@ -33,6 +33,67 @@ def _const_coeff_model(heston, b_const, sigma_const, phi_const=None):
     return dataclasses.replace(heston, **kw)
 
 
+def _path_major_v(model, market, mc, horizon, kernel, perturbed=False):
+    """Reference recursion: one path per row, two history matvecs per step."""
+    from roughchain.mc import _BATCH, _kernel_weights
+
+    k_steps = mc.n_steps(horizon)
+    dt = horizon / k_steps
+    times = np.linspace(0.0, horizon, k_steps + 1)
+    wts = _kernel_weights(times, kernel.hurst, kernel.eps if perturbed else 0.0)
+    wb, kb = wts[:, 0::2], wts[:, 1::2]
+    out = []
+    for b, start in enumerate(range(0, mc.paths, _BATCH)):
+        m = min(_BATCH, mc.paths - start)
+        rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(b))
+        if mc.antithetic:
+            z = rng.standard_normal(((m + 1) // 2, k_steps))
+            z = np.concatenate([z, -z])[:m]
+        else:
+            z = rng.standard_normal((m, k_steps))
+        db = z * np.sqrt(dt)
+        v = np.full((m, k_steps + 1), market.v0)
+        b_hist = np.empty((m, k_steps))
+        s_hist = np.empty((m, k_steps))
+        for k in range(k_steps):
+            vp = np.maximum(v[:, k], 0.0) if model.variance_domain == "positive" else v[:, k]
+            b_hist[:, k] = model.b(vp)
+            s_hist[:, k] = model.sigma(vp) * db[:, k]
+            v[:, k + 1] = market.v0 + b_hist[:, :k + 1] @ wb[k, :k + 1] \
+                + s_hist[:, :k + 1] @ kb[k, :k + 1]
+        out.append(v)
+    return np.concatenate(out)
+
+
+class TestBlockedRecursion:
+    """The blocked, time-major recursion against the path-major reference loop.
+
+    Only the summation order differs, so on coefficients that are Lipschitz
+    at the variance floor the paths agree to rounding: 1e-12 relative to the
+    largest |V| (paths of the real-domain families cross 0, where an
+    elementwise relative error means nothing).
+    """
+
+    @pytest.fixture(params=["const", "rough-sabr", "rough-alpha-hyper"])
+    def model(self, request, heston, all_models):
+        if request.param == "const":
+            return _const_coeff_model(heston, b_const=1.5, sigma_const=0.3)
+        return all_models[request.param]
+
+    @pytest.mark.parametrize("paths, steps, antithetic", [
+        *[(33, k, False) for k in (1, 15, 16, 17, 48, 64)],   # blocks end exactly, mid-block
+        (8193, 17, False),                                     # two batches
+        (301, 48, True),                                       # odd antithetic count
+    ])
+    def test_matches_path_major_loop(self, model, market, kernel, paths, steps, antithetic):
+        mc = McConfig(paths=paths, steps=steps, seed=21, antithetic=antithetic)
+        for perturbed in (False, True):
+            v = simulate_v(model, market, mc, 1.0, kernel, perturbed)
+            ref = _path_major_v(model, market, mc, 1.0, kernel, perturbed)
+            assert v.shape == ref.shape == (paths, steps + 1)
+            assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestSimulateV:
     def test_deterministic_volterra_integral(self, heston, market):
         # sigma = 0, b = 2: V(t) = v0 + 2 t^(H+1/2)/Gamma(H+3/2), exact for the
@@ -153,6 +214,17 @@ class TestMcPrice:
         pert = mc_price(opt, heston, market, kernel, mc, perturbed=True)
         assert abs(rough[0] - pert[0]) <= 3 * np.hypot(rough[1], pert[1])
 
+    @pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+    def test_non_finite_payoff_warns_and_returns_nan(self, all_models, market, kernel):
+        # rough-42's phi = a sqrt(v) + b/sqrt(v) is infinite at V = 0, which its
+        # simulated variance reaches (2 eta theta < sigma^2)
+        mc = McConfig(paths=500, steps=16, seed=1)
+        with pytest.warns(RuntimeWarning, match="payoff of rough-42 is not finite"):
+            est, se = mc_price(
+                OptionSpec("call", 4.0, 1.0), all_models["rough-42"], market, kernel, mc
+            )
+        assert np.isnan(est) and np.isnan(se)
+
     def test_barrier_payoff(self, heston, market, kernel):
         mc = McConfig(2000, 32, seed=7)
         eu = mc_price(OptionSpec("call", 4.0, 1.0), heston, market, kernel, mc)
@@ -172,7 +244,8 @@ class TestKernelWeights:
         times = np.linspace(0.0, 1.0, 257)
         a, hurst = 0.62, 0.12
         gam = float(gamma_fn(a))
-        wb, kb = _kernel_weights(times, hurst, shift)
+        wts = _kernel_weights(times, hurst, shift)
+        wb, kb = wts[:, 0::2], wts[:, 1::2]
         assert not np.triu(wb, 1).any() and not np.triu(kb, 1).any()
         for k in (1, 2, 100, 256):
             hi = times[k] + shift - times[:k]
