@@ -20,14 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import GeneratorError
 from .grids import Grid, build_variance_grid, build_x_grid
 from .kernel import KernelSpec
 from .models import MarketParams, ModelSpec, asset_level, chain_model, drift_theta, variance_drift
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "GeneratorSet",
@@ -117,6 +120,8 @@ def build_coupled(q: np.ndarray, lambdas: np.ndarray) -> sparse.dia_matrix:
     faster than in CSR.  Column (l, i) of diagonal k holds entry
     ((l, i) - k, (l, i)).
     """
+    from scipy import sparse  # only the coupled oracle builds it: kept out of the package import
+
     m = q.shape[0]
     n = lambdas.shape[-1]
     if q.shape != (m, m) or lambdas.shape != (m, n, n):

@@ -1,20 +1,21 @@
 """Matrix exponentials of generators.
 
 * ``expm_dense`` gives dense transition matrices.  A single matrix (the
-  variance chain Q, whose nu t reaches 2e3) goes through Pade; a (K, n, n)
-  stack of tridiagonal generators (the M regime chains Lambda_l) through one
-  band uniformization series for the whole stack (``_band_series``).
+  variance chain Q, whose nu t reaches 2e3) goes through the [13/13] Pade
+  approximant with scaling and squaring (``_pade13``, numpy only); a
+  (K, n, n) stack of tridiagonal generators (the M regime chains Lambda_l)
+  through one band uniformization series for the whole stack
+  (``_band_series``).
 * ``expm_action`` gives exp(G t) w by uniformization, one Poisson series of
   about nu t + 7 sqrt(nu t) sparse products with nu = max |G_ii| (on the
   five-diagonal coupled generator, nu comes from the variance chain Q: 8524
-  for rough-heston at M = 48).
+  for rough-heston at M = 48).  Only this oracle loads ``scipy.sparse``, on
+  its first call, so the fast route runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm as _expm_pade
 
 from .errors import GeneratorError, NumericalError
 
@@ -27,18 +28,25 @@ _TAIL = 1e-20
 _LAM_CAP = 1.0     # band series run at nu t <= _LAM_CAP (at most 20 terms), then square
 _DENSE_CAP = 1024  # largest generator expm_dense makes dense
 _MAX_TERMS = 4_000_000  # largest nu t expm_action sums a series for
+# [13/13] Pade coefficients b_0 .. b_13, and the 1-norm up to which that
+# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
 def expm_dense(gen, t: float) -> np.ndarray:
     """Dense transition matrix exp(G t) of a generator of size <= _DENSE_CAP.
 
-    ``gen`` is one matrix or a (K, n, n) stack of tridiagonal generators (a
-    stack is read by its three diagonals; rate outside them leaves rows short
-    of one, which the row check reports).
+    ``gen`` is one matrix (dense, or sparse with a ``toarray`` method), whose
+    exponential is ``_pade13``'s, or a (K, n, n) stack of tridiagonal
+    generators (a stack is read by its three diagonals; rate outside them
+    leaves rows short of one, which the row check reports).
     Rows are checked to sum to one (1e-10) and entries to be nonnegative up
     to -1e-12; tiny negative round-off is clamped to zero after the check.
     """
-    g = np.asarray(gen.toarray() if sparse.issparse(gen) else gen, dtype=float)
+    g = np.asarray(gen.toarray() if hasattr(gen, "toarray") else gen, dtype=float)
     n = g.shape[-1]
     if g.ndim not in (2, 3) or g.shape[-2] != n:
         raise GeneratorError(f"expected a square matrix or a stack of them, got {g.shape}")
@@ -48,7 +56,7 @@ def expm_dense(gen, t: float) -> np.ndarray:
         )
     if t < 0:
         raise NumericalError("t must be nonnegative")
-    p = _expm_pade(g * t) if g.ndim == 2 else _band_series(g, t)
+    p = _pade13(g * t) if g.ndim == 2 else _band_series(g, t)
     row_defect = np.abs(p.sum(axis=-1) - 1.0).max()
     if row_defect > 1e-10:
         raise NumericalError(
@@ -58,6 +66,35 @@ def expm_dense(gen, t: float) -> np.ndarray:
     if p.min() < -1e-12:
         raise NumericalError(f"exp(Gt) has entries below -1e-12 ({p.min():.3e})")
     return np.maximum(p, 0.0, out=p)
+
+
+def _pade13(a: np.ndarray) -> np.ndarray:
+    """exp(a) of one dense matrix: [13/13] Pade at a / 2^s, squared s times.
+
+    s is the least with ||a / 2^s||_1 <= _THETA13.  The Pade value r = I + E
+    comes as E = 2 (V - U)^-1 U and is squared as E <- 2E + E^2, so the
+    identity never rounds the small entries of E against 1.  Squaring I + E
+    itself roughly doubles a generator's row defect per squaring: for
+    rough-42's markov Q at eps = 1e-8, N = M = 80 (s = 20) the defect is
+    2.6e-10 that way and 2.6e-14 this way.  A zero matrix gives I exactly.
+    """
+    n = a.shape[0]
+    norm = np.abs(a).sum(axis=0).max()
+    if not np.isfinite(norm):
+        raise NumericalError("generator has non-finite entries")
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    b, eye = _PADE13, np.eye(n)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    e = np.linalg.solve(v - u, 2.0 * u)
+    for _ in range(s):
+        e = e @ e + 2.0 * e
+    return eye + e
 
 
 def _series_length(lam: np.ndarray) -> np.ndarray:
@@ -149,6 +186,9 @@ def expm_action(gen, w: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
     times ||w||_inf is at most tol; as ||P^k w||_inf <= ||w||_inf, that bounds
     the truncation error.
     """
+    # only the coupled oracle runs sparse products; scipy.sparse stays out of the package import
+    from scipy import sparse
+
     if t < 0:
         raise NumericalError("t must be nonnegative")
     w = np.asarray(w, dtype=float)

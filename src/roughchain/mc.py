@@ -216,23 +216,30 @@ def mc_price(
     total_sq = 0.0
     for db, dperp in batches:
         k_steps, m = db.shape
-        dw = rho * db + np.sqrt(1.0 - rho * rho) * dperp
+        dperp *= np.sqrt(1.0 - rho * rho)
+        dw = np.add(rho * db, dperp, out=dperp)
 
         v = _v_recursion(model, market.v0, wts, db)
+        phi = model.phi(_v_positive_part(v[:-1], model))    # phi(V+_k), k < steps
         if log_asset:
+            # log-Euler increments (r - q - phi^2 / 2) dt + phi dW, added to log s0 row
+            # by row in step order, as a loop over the steps adds them
+            inc = np.square(phi)
+            inc *= 0.5
+            np.subtract(r - q, inc, out=inc)
+            inc *= dt
+            inc += np.multiply(dw, phi, out=dw)
             log_s = np.full(m, np.log(market.s0))
+            for row in inc:
+                log_s += row
+            s_T = np.exp(log_s)
         else:
             s = np.full(m, market.s0)
-        for k in range(k_steps):
-            vp = _v_positive_part(v[k], model)
-            phi = model.phi(vp)
-            if log_asset:
-                log_s += (r - q - 0.5 * phi**2) * dt + phi * dw[k]
-            else:
-                s += (r - q) * s * dt + phi * model.nu(s) * dw[k]
+            for k in range(k_steps):
+                s += (r - q) * s * dt + phi[k] * model.nu(s) * dw[k]
                 if model.asset_domain == "positive":
                     s = np.maximum(s, 0.0)
-        s_T = np.exp(log_s) if log_asset else s
+            s_T = s
         pay = option.payoff(s_T) * disc
         total += float(np.sum(pay))
         total_sq += float(np.sum(pay * pay))

@@ -2,9 +2,12 @@
 
 * ``price_fast``, the production route, steps with a Strang product of the
   two decoupled factor semigroups (one M x M transition matrix plus M N x N
-  ones), so it never forms the big generator;
+  ones), so it never forms the big generator.  Its step operators are
+  exp(Q dt/2) by one Pade, exp(Q dt) as that matrix's square, and the
+  regime stack exp(Lambda_l dt) by one band series: numpy alone;
 * ``price_european_coupled``, the oracle, applies the exact exp(coupled t)
-  by uniformization.
+  by uniformization, on the sparse coupled generator (``scipy.sparse``,
+  loaded on its first use).
 
 One rule picks the pass on both.  A European or terminal-barrier price is
 e^{-rT} p_T . payoff, where p_T, the law at T of the chain started at the
@@ -159,7 +162,8 @@ def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: b
     dt = t / n_slices
     ops = gens._cache.get(("steps", dt))
     if ops is None:
-        ops = expm_dense(gens.q, dt / 2.0), expm_dense(gens.q, dt), expm_dense(gens.lambdas, dt)
+        pq_half = expm_dense(gens.q, dt / 2.0)  # exp(Q dt) is its square: one Pade
+        ops = pq_half, pq_half @ pq_half, expm_dense(gens.lambdas, dt)
         if not forward:
             gens._cache["steps", dt] = ops
     pq_half, pq_full, p_lams = ops

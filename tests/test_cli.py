@@ -142,7 +142,7 @@ class TestPriceCommand:
             "numerics.n_x=40", "numerics.m_v=40",
         ])
         assert code == 0
-        assert json.loads(out)["price_repr"] == "1.8330416759569046"
+        assert json.loads(out)["price_repr"] == "1.8330416759568542"
 
     def test_removed_option_rate_key_rejected(self, tmp_path):
         # the model's r is the one rate; the option has none of its own
@@ -251,17 +251,20 @@ class TestMain:
 
 
 def test_import_leaves_unused_scipy_subpackages_out():
-    # pricing needs scipy.linalg and scipy.sparse; the quadrature oracle loads
-    # scipy.integrate on first use
+    # the import and a fast price run on numpy alone; the coupled oracle loads
+    # scipy.sparse on first use (and the quadrature oracle scipy.integrate)
     code = (
-        "import sys, roughchain, roughchain.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') "
-        "if m in sys.modules))"
+        "import io, sys, roughchain, roughchain.cli as cli\n"
+        "small = ['numerics.n_x=20', 'numerics.m_v=20']\n"
+        "assert cli.run('price', None, small, out=io.StringIO()) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "assert cli.run('price', None, small + ['numerics.method=coupled'], out=io.StringIO()) == 0\n"
+        "print([m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "['scipy.sparse']"]
 
 
 def test_env_var_config(tmp_path, monkeypatch):

@@ -43,6 +43,26 @@ class TestDense:
             expm_dense(a, 1.0)
 
 
+class TestPade:
+    @pytest.mark.parametrize("size", [24, 100])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_variance_chain_matches_scipy_and_action(self, name, size, all_models, market,
+                                                     kernel):
+        # Q's half step at the slice length pricing uses (nu dt / 2 reaches 1e3)
+        gens = assemble(all_models[name], market, kernel, n=size, m=size)
+        half = 0.5 / pricing._auto_slices(gens, 1.0)
+        got = expm_dense(gens.q, half)
+        assert np.abs(got - expm_pade(gens.q * half)).max() <= 1e-12
+        w = np.random.default_rng(size).random(size)
+        assert np.abs(got @ w - expm_action(gens.q, w, half, tol=1e-14)).max() <= 1e-11
+
+    def test_non_finite_generator_rejected(self):
+        g = random_generator(5, seed=16)
+        g[1, 2] = np.inf
+        with pytest.raises(NumericalError, match="non-finite"):
+            expm_dense(g, 1.0)
+
+
 def _tridiagonal_stack(k, n, seed):
     rng = np.random.default_rng(seed)
     grid = Grid(nodes=np.cumsum(rng.uniform(0.5, 1.5, n)), anchor_index=1)

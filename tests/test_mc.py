@@ -5,15 +5,19 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from roughchain import (
+    MODEL_NAMES,
     KernelSpec,
     MarketParams,
     McConfig,
     OptionSpec,
     ParameterError,
     estimate_l2_rate,
+    make_model,
     mc_price,
     simulate_v,
 )
+from roughchain import mc as mc_module
+from roughchain.presets import model_params
 
 # 0.04 + 2 / Gamma(1.62), frozen with 40-digit arithmetic
 DET_VOLTERRA_T1 = 2.2723330326861803731
@@ -63,6 +67,37 @@ def _path_major_v(model, market, mc, horizon, kernel, perturbed=False):
                 + s_hist[:, :k + 1] @ kb[k, :k + 1]
         out.append(v)
     return np.concatenate(out)
+
+
+def _step_loop_price(option, model, market, kernel, mc):
+    """Reference estimate: phi and the asset advanced one time step at a time."""
+    from roughchain.mc import (_batches, _is_log_asset, _kernel_weights, _v_positive_part,
+                               _v_recursion)
+
+    times, dt, batches = _batches(mc, option.maturity, draws=2)
+    wts = _kernel_weights(times, kernel.hurst, 0.0)
+    (r, q), rho, log_asset = model.rates, market.rho, _is_log_asset(model)
+    pays = []
+    for db, dperp in batches:
+        dw = rho * db + np.sqrt(1.0 - rho * rho) * dperp
+        v = _v_recursion(model, market.v0, wts, db)
+        log_s = np.full(db.shape[1], np.log(market.s0))
+        s = np.full(db.shape[1], market.s0)
+        for k in range(db.shape[0]):
+            phi = model.phi(_v_positive_part(v[k], model))
+            if log_asset:
+                log_s += (r - q - 0.5 * phi**2) * dt + phi * dw[k]
+            else:
+                s += (r - q) * s * dt + phi * model.nu(s) * dw[k]
+                if model.asset_domain == "positive":
+                    s = np.maximum(s, 0.0)
+        pays.append(option.payoff(np.exp(log_s) if log_asset else s)
+                    * np.exp(-r * option.maturity))
+    total = sum(float(np.sum(p)) for p in pays)
+    total_sq = sum(float(np.sum(p * p)) for p in pays)
+    mean = total / mc.paths
+    var = max(total_sq / mc.paths - mean * mean, 0.0) * mc.paths / max(mc.paths - 1, 1)
+    return mean, float(np.sqrt(var / mc.paths))
 
 
 class TestBlockedRecursion:
@@ -224,6 +259,21 @@ class TestMcPrice:
                 OptionSpec("call", 4.0, 1.0), all_models["rough-42"], market, kernel, mc
             )
         assert np.isnan(est) and np.isnan(se)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_matches_the_step_loop_exactly(self, name, market, kernel, monkeypatch):
+        # batches of 5, 5 and 1 paths: a one-path batch still adds the steps in order
+        monkeypatch.setattr(mc_module, "_BATCH", 5)
+        params = model_params(name)
+        for p, mc in ((params, McConfig(paths=11, steps=24, seed=5)),
+                      (params | ({"r": 0.05, "q": 0.02} if "r" in params else {}),
+                       McConfig(paths=10, steps=40, seed=6, antithetic=True))):
+            model = make_model(name, p)
+            for option in (OptionSpec("call", 10.0, 1.0), OptionSpec("put", 12.0, 0.5)):
+                got = mc_price(option, model, market, kernel, mc)
+                want = _step_loop_price(option, model, market, kernel, mc)
+                assert repr(got) == repr(want), (name, p, mc, option)
 
     def test_barrier_payoff(self, heston, market, kernel):
         mc = McConfig(2000, 32, seed=7)
