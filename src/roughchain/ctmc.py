@@ -14,6 +14,13 @@ preserves the first moment exactly (at the cost of inflating the second by
 
 Boundary rows keep only the outflow drift: the state leaves a truncation
 wall at its physical drift rate, with no one-sided diffusion.
+
+Memory: a tridiagonal generator is kept as its three diagonals, a
+(3, ..., n) array of planes (``tridiagonal_generator``).  The regime family
+Lambda_l is one (3, M, N) array from its build through ``GeneratorSet``,
+``nu_lambda``, the coupled DIA matrix and ``matexp.expm_dense``, so no
+(M, N, N) generator stack is ever formed; only Q is dense (M x M), as its
+Pade exponential needs.
 """
 
 from __future__ import annotations
@@ -48,10 +55,12 @@ def tridiagonal_generator(
     drift: np.ndarray,
     diff2: np.ndarray,
 ) -> np.ndarray:
-    """Moment-matched tridiagonal rate matrix on the given grid.
+    """Moment-matched tridiagonal rate matrices on the given grid, as diagonal planes.
 
-    ``drift`` of shape (..., n), with ``diff2`` broadcasting to it, gives a
-    stack of shape (..., n, n): one generator per row of the leading axes.
+    ``drift`` of shape (..., n), with ``diff2`` broadcasting to it, gives the
+    planes of shape (3, ..., n): plane 0 holds G[i, i - 1], plane 1 G[i, i]
+    and plane 2 G[i, i + 1], one generator per row of the leading axes (the
+    entries G[0, -1] and G[n - 1, n] that fall outside a matrix are zero).
     """
     n = len(grid.nodes)
     shape = np.broadcast_shapes(np.shape(drift), np.shape(diff2), (n,))
@@ -69,17 +78,16 @@ def tridiagonal_generator(
     lo = np.where(bad, s2 / (hm * (hm + hp)) + np.maximum(-d, 0.0) / hm, lo)
     up = np.where(bad, s2 / (hp * (hm + hp)) + np.maximum(d, 0.0) / hp, up)
 
-    gen = np.zeros(shape[:-1] + (n, n))
-    flat = gen.reshape(shape[:-1] + (n * n,))  # (i, i + o), 0 < i < n - 1: i (n + 1) + o
-    flat[..., n:n * (n - 1):n + 1] = lo
-    flat[..., n + 2:n * (n - 1):n + 1] = up
-    flat[..., n + 1:n * (n - 1):n + 1] = -(lo + up)
+    planes = np.zeros((3,) + shape)
+    planes[0, ..., 1:-1] = lo
+    planes[2, ..., 1:-1] = up
+    planes[1, ..., 1:-1] = -(lo + up)
 
-    gen[..., 0, 1] = np.maximum(drift[..., 0], 0.0) / h[0]
-    gen[..., 0, 0] = -gen[..., 0, 1]
-    gen[..., -1, -2] = np.maximum(-drift[..., -1], 0.0) / h[-1]
-    gen[..., -1, -1] = -gen[..., -1, -2]
-    return gen
+    planes[2, ..., 0] = np.maximum(drift[..., 0], 0.0) / h[0]
+    planes[1, ..., 0] = -planes[2, ..., 0]
+    planes[0, ..., -1] = np.maximum(-drift[..., -1], 0.0) / h[-1]
+    planes[1, ..., -1] = -planes[0, ..., -1]
+    return planes
 
 
 def build_Q(
@@ -90,8 +98,15 @@ def build_Q(
 ) -> np.ndarray:
     """Variance-chain generator of a chain model: drift `variance_drift`, diffusion sigma^2."""
     v = vgrid.nodes
-    drift = variance_drift(v, model, market, kernel)
-    return tridiagonal_generator(vgrid, drift, model.sigma(v) ** 2)
+    lower, diag, upper = tridiagonal_generator(
+        vgrid, variance_drift(v, model, market, kernel), model.sigma(v) ** 2)
+    m = len(v)
+    q = np.zeros((m, m))             # Pade needs Q dense
+    flat = q.reshape(m * m)          # (i, i + o) at i (m + 1) + o
+    flat[::m + 1] = diag
+    flat[m::m + 1] = lower[1:]
+    flat[1::m + 1] = upper[:-1]
+    return q
 
 
 def build_lambda_family(
@@ -103,8 +118,8 @@ def build_lambda_family(
 ) -> np.ndarray:
     """Auxiliary-chain generators of a chain model at frozen variance levels, in one pass.
 
-    A scalar level gives one (N, N) generator; an array of levels gives the
-    stack, shape levels.shape + (N, N).
+    Returned as ``tridiagonal_generator`` planes: a scalar level gives shape
+    (3, N), an array of levels (3,) + levels.shape + (N,).
     """
     v = np.asarray(levels, float)[..., None]
     th = drift_theta(xgrid.nodes, v, model, market, kernel)
@@ -115,24 +130,25 @@ def build_lambda_family(
 def build_coupled(q: np.ndarray, lambdas: np.ndarray) -> sparse.dia_matrix:
     """NM x NM block rate matrix: block (l, j) = q_{lj} I_N, plus Lambda_l on the diagonal.
 
-    DIA format, written from the diagonals: tridiagonal Q and Lambda_l give
-    the five diagonals {-N, -1, 0, 1, N}, on which a product with a vector is
-    faster than in CSR.  Column (l, i) of diagonal k holds entry
-    ((l, i) - k, (l, i)).
+    ``lambdas`` is the (3, M, N) planes of the regime family.  DIA format,
+    written from the diagonals: tridiagonal Q and Lambda_l give the five
+    diagonals {-N, -1, 0, 1, N}, on which a product with a vector is faster
+    than in CSR.  Column (l, i) of diagonal k holds entry ((l, i) - k, (l, i)).
     """
     from scipy import sparse  # only the coupled oracle builds it: kept out of the package import
 
     m = q.shape[0]
     n = lambdas.shape[-1]
-    if q.shape != (m, m) or lambdas.shape != (m, n, n):
+    if q.shape != (m, m) or lambdas.shape != (3, m, n):
         raise GeneratorError(
-            f"shape mismatch: Q {q.shape} vs Lambdas {np.shape(lambdas)}"
+            f"shape mismatch: Q {q.shape} vs Lambda planes {np.shape(lambdas)}"
         )
+    lower, diag, upper = lambdas
     data = np.zeros((5, m, n))
     data[0, :-1] = np.diagonal(q, -1)[:, None]                   # q_{l+1, l}
-    data[1, :, :-1] = np.diagonal(lambdas, -1, 1, 2)             # Lambda_l[i+1, i]
-    data[2] = np.diagonal(q)[:, None] + np.diagonal(lambdas, 0, 1, 2)
-    data[3, :, 1:] = np.diagonal(lambdas, 1, 1, 2)               # Lambda_l[i-1, i]
+    data[1, :, :-1] = lower[:, 1:]                               # Lambda_l[i+1, i]
+    data[2] = np.diagonal(q)[:, None] + diag
+    data[3, :, 1:] = upper[:, :-1]                               # Lambda_l[i-1, i]
     data[4, 1:] = np.diagonal(q, 1)[:, None]                     # q_{l-1, l}
     keep = [0, 2, 4] if n == 1 else slice(None)                  # N = 1: -1 is -N
     return sparse.dia_matrix(
@@ -160,8 +176,8 @@ class GeneratorSet:
 
     ``model`` is the true model, not the chain model the generators run."""
 
-    q: np.ndarray
-    lambdas: np.ndarray
+    q: np.ndarray                # dense (M, M)
+    lambdas: np.ndarray          # regime family as (3, M, N) planes (``tridiagonal_generator``)
     vgrid: Grid
     xgrid: Grid
     asset_states: np.ndarray     # s = g^{-1}(x_i + rho f(v_l)), shape (M, N)
@@ -192,7 +208,7 @@ class GeneratorSet:
     @cached_property
     def nu_lambda(self) -> float:
         """Largest exit rate of the regime chains, max_l max_i |Lambda_l[i, i]|."""
-        return float(np.abs(np.diagonal(self.lambdas, axis1=1, axis2=2)).max())
+        return float(np.abs(self.lambdas[1]).max())
 
     @property
     def anchor_indices(self) -> tuple[int, int]:

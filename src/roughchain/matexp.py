@@ -2,15 +2,24 @@
 
 * ``expm_dense`` gives dense transition matrices.  A single matrix (the
   variance chain Q, whose nu t reaches 2e3) goes through the [13/13] Pade
-  approximant with scaling and squaring (``_pade13``, numpy only); a
-  (K, n, n) stack of tridiagonal generators (the M regime chains Lambda_l)
-  through one band uniformization series for the whole stack
+  approximant with scaling and squaring (``_pade13``, numpy only); K
+  tridiagonal generators (the M regime chains Lambda_l), given as their
+  (3, K, n) diagonal planes, through a band uniformization series
   (``_band_series``).
 * ``expm_action`` gives exp(G t) w by uniformization, one Poisson series of
   about nu t + 7 sqrt(nu t) sparse products with nu = max |G_ii| (on the
   five-diagonal coupled generator, nu comes from the variance chain Q: 8524
   for rough-heston at M = 48).  Only this oracle loads ``scipy.sparse``, on
   its first call, so the fast route runs on numpy alone.
+
+Memory: the regime family never exists dense.  The one (K, n, n) array a
+price needs is the output stack exp(Lambda_l dt), and ``_band_series``
+allocates nothing else of that size: it sums the stack in chunks whose three
+band arrays take at most _CHUNK_BYTES (768 KiB; see there for the choice).
+A cold rough-heston price at N = M = 100 peaks at 10.0 MB of traced
+allocations, 8 MB of them the stack (19.1 MB when the family was a dense
+(M, N, N) stack and the series ran on the whole stack at once); at
+N = M = 200, 68 MB (141 MB).
 """
 
 from __future__ import annotations
@@ -27,6 +36,15 @@ __all__ = ["expm_dense", "expm_action"]
 _TAIL = 1e-20
 _LAM_CAP = 1.0     # band series run at nu t <= _LAM_CAP (at most 20 terms), then square
 _DENSE_CAP = 1024  # largest generator expm_dense makes dense
+# _band_series sums a regime stack in chunks whose three band arrays take at
+# most _CHUNK_BYTES, unless the dense output and the whole stack's band arrays
+# together fit in _ONE_PIECE_BYTES.  At N = M = 100 the output is 8 MB, and
+# 768 KiB chunks keep a cold price's traced peak near 10 MB.  Each extra chunk
+# costs about 0.4 ms of Python-level loop, which would slow the N <= 60 stacks
+# (output 0.5 to 1.7 MB) by up to a fifth; summed in one piece, they still
+# peak below a chunked N = M = 100 price.
+_CHUNK_BYTES = 3 * 2**18
+_ONE_PIECE_BYTES = 8 * 2**20
 _MAX_TERMS = 4_000_000  # largest nu t expm_action sums a series for
 # [13/13] Pade coefficients b_0 .. b_13, and the 1-norm up to which that
 # approximant is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
@@ -40,16 +58,17 @@ def expm_dense(gen, t: float) -> np.ndarray:
     """Dense transition matrix exp(G t) of a generator of size <= _DENSE_CAP.
 
     ``gen`` is one matrix (dense, or sparse with a ``toarray`` method), whose
-    exponential is ``_pade13``'s, or a (K, n, n) stack of tridiagonal
-    generators (a stack is read by its three diagonals; rate outside them
-    leaves rows short of one, which the row check reports).
+    exponential is ``_pade13``'s, or the (3, K, n) diagonal planes of K
+    tridiagonal generators (see ``ctmc.tridiagonal_generator``), whose
+    (K, n, n) exponentials are ``_band_series``'s.
     Rows are checked to sum to one (1e-10) and entries to be nonnegative up
     to -1e-12; tiny negative round-off is clamped to zero after the check.
     """
     g = np.asarray(gen.toarray() if hasattr(gen, "toarray") else gen, dtype=float)
     n = g.shape[-1]
-    if g.ndim not in (2, 3) or g.shape[-2] != n:
-        raise GeneratorError(f"expected a square matrix or a stack of them, got {g.shape}")
+    if not (g.ndim == 2 and g.shape[0] == n or g.ndim == 3 and g.shape[0] == 3):
+        raise GeneratorError(
+            f"expected a square matrix or (3, K, n) diagonal planes, got shape {g.shape}")
     if n > _DENSE_CAP:
         raise NumericalError(
             f"dense exponential of size {n} exceeds cap {_DENSE_CAP}; use expm_action"
@@ -111,39 +130,58 @@ def _series_length(lam: np.ndarray) -> np.ndarray:
 
 
 def _band_series(g: np.ndarray, t: float) -> np.ndarray:
-    """exp(G_k t) for a (K, n, n) stack of tridiagonal generators.
+    """exp(G_k t) for K tridiagonal generators given as (3, K, n) diagonal planes.
 
     With nu = max |G_ii|, lam = nu t and P = I + G/nu (tridiagonal, >= 0):
     exp(G t) = sum_j e^(-lam) lam^j / j! P^j, every term nonnegative.  The
-    stack is sorted by series length for ``_band_terms``, whose diagonals are
-    then written into the dense output.  A matrix with lam > _LAM_CAP sums
-    the series at t / 2^s and is then squared s times.
+    stack, sorted by series length, is summed by ``_band_terms`` in chunks
+    (one piece when small: see _CHUNK_BYTES); each chunk's matrices of the
+    dense (K, n, n) output are then zeroed and given its diagonals.  A matrix
+    with lam > _LAM_CAP sums the series at t / 2^s and is then squared s
+    times.  Every matrix sees the same operations in any chunking.  The
+    output is allocated after the first chunk's band arrays (measured: a
+    stack summed in one piece then runs up to a fifth faster).
     """
-    k, n, _ = g.shape
-    nu = np.abs(np.diagonal(g, 0, 1, 2)).max(axis=1)
+    _, k, n = g.shape
+    nu = np.abs(g[1]).max(axis=1)
     halvings = np.ceil(np.log2(np.maximum(nu * t, _LAM_CAP) / _LAM_CAP)).astype(int)
     lam = nu * t / 2.0**halvings
     length = _series_length(lam)
     order = np.argsort(-length, kind="stable")
-    scale = (1.0 / np.where(nu > 0.0, nu, 1.0))[order, None]
-    p = np.zeros((3, k, n))                                  # P[i, i - 1], P[i, i], P[i, i + 1]
-    p[0, :, 1:] = np.diagonal(g, -1, 1, 2)[order] * scale
-    p[1] = 1.0 + np.diagonal(g, 0, 1, 2)[order] * scale
-    p[2, :, :-1] = np.diagonal(g, 1, 1, 2)[order] * scale
-    total = _band_terms(p.reshape(3, k * n), np.repeat(lam[order], n), length[order], n)
+    scale = 1.0 / np.where(nu > 0.0, nu, 1.0)
+    band_bytes = 24 * n * (2 * np.minimum(length[order], n - 1) + 3)  # a chunk's, per matrix,
+    one_piece = (8 * n * n + band_bytes[0]) * k <= _ONE_PIECE_BYTES   # from its first (longest)
+    out = None
+    start = 0
+    while start < k:
+        stop = k if one_piece else min(k, start + max(1, _CHUNK_BYTES // int(band_bytes[start])))
+        idx = order[start:stop]
+        start = stop
+        sc = scale[idx, None]
+        p = np.zeros((3, len(idx), n))                       # P[i, i - 1], P[i, i], P[i, i + 1]
+        p[0, :, 1:] = g[0, idx, 1:] * sc
+        p[1] = 1.0 + g[1, idx] * sc
+        p[2, :, :-1] = g[2, idx, :-1] * sc
+        total = _band_terms(p.reshape(3, -1), np.repeat(lam[idx], n), length[idx], n)
+        if out is None:
+            out = np.empty((k, n, n))
+            flat = out.reshape(k, n * n)                     # (i, i + o) at i (n + 1) + o
 
-    c = total.shape[0] // 2
-    total = total.reshape(-1, k, n)
-    out = np.zeros((k, n, n))
-    flat = out.reshape(k, n * n)                             # (i, i + o) at i (n + 1) + o
-    for o in range(1 - c, c):                                # diagonal o: nonzero where length >= |o|
-        a = int(np.count_nonzero(length >= abs(o)))
-        rows = slice(max(-o, 0), n - max(o, 0))
-        start = max(-o, 0) * n + max(o, 0)
-        flat[order[:a], start:start + (n - abs(o) - 1) * (n + 1) + 1:n + 1] = total[c + o, :a, rows]
-    for s in range(int(halvings.max())):
-        sel = halvings > s
-        out[sel] = out[sel] @ out[sel]
+        c = total.shape[0] // 2
+        total = total.reshape(-1, len(idx), n)
+        flat[idx] = 0.0
+        needs = np.count_nonzero(length[idx] >= np.arange(c)[:, None], axis=1).tolist()
+        for o in range(1 - c, c):                            # diagonal o: nonzero where length >= |o|
+            a = needs[abs(o)]
+            rows = slice(max(-o, 0), n - max(o, 0))
+            first = max(-o, 0) * n + max(o, 0)
+            flat[idx[:a], first:first + (n - abs(o) - 1) * (n + 1) + 1:n + 1] = total[c + o, :a, rows]
+        del total, p                                         # before the next chunk's arrays
+        for i in idx[halvings[idx] > 0]:                     # squared one by one: no stack copies
+            x = out[i]
+            for _ in range(halvings[i]):
+                x = x @ x
+            out[i] = x
     return out
 
 
@@ -164,14 +202,14 @@ def _band_terms(p: np.ndarray, lam: np.ndarray, length: np.ndarray, n: int) -> n
     term, nxt = np.zeros(total.shape), np.zeros(total.shape)
     term[c] = np.exp(-lam)
     total[c] = term[c]
-    for j in range(1, top + 1):
-        a, w = n * int(np.count_nonzero(length >= j)), min(j, w_cap)
-        f = lam[:a] / j
+    rows = n * np.count_nonzero(length >= np.arange(1, top + 1)[:, None], axis=1)
+    for j, a in enumerate(rows.tolist(), 1):
+        w = min(j, w_cap)
+        pf = p[:, :a] * (lam[:a] / j)                        # the three diagonals of P lam / j
         band = slice(c - w, c + w + 1)
-        new = nxt[band, :a]
-        np.multiply(p[1, :a] * f, term[band, :a], out=new)
-        new[:, 1:] += (p[0, 1:a] * f[1:]) * term[c - w + 1:c + w + 2, :a - 1]
-        new[:, :-1] += (p[2, :a - 1] * f[:-1]) * term[c - w - 1:c + w, 1:a]
+        new = np.multiply(pf[1], term[band, :a], out=nxt[band, :a])
+        new[:, 1:] += pf[0, 1:] * term[c - w + 1:c + w + 2, :a - 1]
+        new[:, :-1] += pf[2, :-1] * term[c - w - 1:c + w, 1:a]
         total[band, :a] += new
         term, nxt = nxt, term
     return total

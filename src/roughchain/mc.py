@@ -39,6 +39,7 @@ order-independent stream splitting and bit-identical results for a fixed
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -83,16 +84,21 @@ class McConfig:
         return max(1, int(round(self.steps * horizon)))
 
 
-def _kernel_weights(times: np.ndarray, hurst: float, shift: float):
+@functools.lru_cache(maxsize=8)
+def _kernel_weights(k_steps: int, horizon: float, hurst: float, shift: float) -> np.ndarray:
     """Drift and L2-matched diffusion weights, interleaved, shape (steps, 2 steps).
 
-    Row k-1 holds the weights that advance the path to times[k]: column 2j the
-    drift weight w_{k,j} and column 2j+1 the diffusion weight kbar_{k,j}, for
-    j <= k-1; the entries of columns 2j and 2j+1 with j >= k are zero.
+    On the grid times = linspace(0, horizon, k_steps + 1), row k-1 holds the
+    weights that advance the path to times[k]: column 2j the drift weight
+    w_{k,j} and column 2j+1 the diffusion weight kbar_{k,j}, for j <= k-1;
+    the entries of columns 2j and 2j+1 with j >= k are zero.  Cached and
+    read-only: repeated prices at one grid, Hurst index and shift reuse the
+    matrix (128 x 256 at 256 steps over T = 0.5) instead of recomputing its
+    fractional powers.
     """
     a = hurst + 0.5
     gam = math.gamma(a)
-    k_steps = len(times) - 1
+    times = np.linspace(0.0, horizon, k_steps + 1)
     dt = times[1] - times[0]
     row, j = np.tril_indices(k_steps)      # row k - 1 holds j = 0 .. k - 1
     hi = times[row + 1] + shift - times[j]       # t_k + shift - t_j
@@ -101,6 +107,7 @@ def _kernel_weights(times: np.ndarray, hurst: float, shift: float):
     wts[row, 2 * j] = (hi**a - lo**a) / (a * gam)
     k2 = (hi ** (2 * hurst) - lo ** (2 * hurst)) / (2 * hurst * gam**2)
     wts[row, 2 * j + 1] = np.sqrt(np.maximum(k2, 0.0) / dt)
+    wts.flags.writeable = False
     return wts
 
 
@@ -154,7 +161,8 @@ def simulate_v(
     ``perturbed=True`` uses the shifted kernel with the given eps.
     """
     times, _, batches = _batches(mc, horizon)
-    wts = _kernel_weights(times, kernel.hurst, kernel.eps if perturbed else 0.0)
+    wts = _kernel_weights(mc.n_steps(horizon), horizon, kernel.hurst,
+                          kernel.eps if perturbed else 0.0)
     out = np.empty((mc.paths, len(times)))
     for b, (db,) in enumerate(batches):
         out[b * _BATCH:b * _BATCH + db.shape[1]] = _v_recursion(model, market.v0, wts, db).T
@@ -206,8 +214,9 @@ def mc_price(
     """
     horizon = option.maturity
     disc = np.exp(-_rate(option, model) * horizon)
-    times, dt, batches = _batches(mc, horizon, draws=2)
-    wts = _kernel_weights(times, kernel.hurst, kernel.eps if perturbed else 0.0)
+    _, dt, batches = _batches(mc, horizon, draws=2)
+    wts = _kernel_weights(mc.n_steps(horizon), horizon, kernel.hurst,
+                          kernel.eps if perturbed else 0.0)
     rho = market.rho
     r, q = model.rates
     log_asset = _is_log_asset(model)
@@ -276,9 +285,10 @@ def estimate_l2_rate(
     eps_list = [float(e) for e in sorted(eps_list)]
     if len(eps_list) < 2:
         raise ParameterError("need at least two eps values to fit a slope")
-    times, _, batches = _batches(mc, horizon)
-    wts_r = _kernel_weights(times, hurst, 0.0)
-    weights = [_kernel_weights(times, hurst, eps) for eps in eps_list]
+    _, _, batches = _batches(mc, horizon)
+    k_steps = mc.n_steps(horizon)
+    wts_r = _kernel_weights(k_steps, horizon, hurst, 0.0)
+    weights = [_kernel_weights(k_steps, horizon, hurst, eps) for eps in eps_list]
     acc = [0.0] * len(eps_list)
     for (db,) in batches:
         v_rough = _v_recursion(model, market.v0, wts_r, db)[-1]

@@ -53,3 +53,19 @@ def random_generator(n, seed=0, scale=1.0):
     a = rng.random((n, n)) * scale
     np.fill_diagonal(a, 0.0)
     return a - np.diag(a.sum(axis=1))
+
+
+def dense(planes):
+    """Dense matrices, shape (..., n, n), of tridiagonal generators given as (3, ..., n) planes.
+
+    Plane 0 holds G[i, i - 1], plane 1 G[i, i] and plane 2 G[i, i + 1]; the
+    entries that would fall outside a matrix are dropped.
+    """
+    lower, diag, upper = np.asarray(planes, float)
+    n = diag.shape[-1]
+    i = np.arange(n)
+    out = np.zeros(diag.shape + (n,))
+    out[..., i, i] = diag
+    out[..., i[1:], i[:-1]] = lower[..., 1:]
+    out[..., i[:-1], i[1:]] = upper[..., :-1]
+    return out

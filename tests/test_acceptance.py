@@ -34,6 +34,8 @@ from roughchain import (
 from roughchain.models import MODEL_NAMES
 from roughchain.presets import REFERENCE_PRICES, model_params
 
+from conftest import dense
+
 KERNEL = KernelSpec(hurst=0.12, eps=1e-8)
 MARKET = MarketParams(s0=10.0, v0=0.04, rho=-0.75)
 EUROPEAN = OptionSpec("call", 4.0, 1.0)
@@ -177,10 +179,10 @@ def test_criterion_6_generator_properties():
     gens = system("rough-heston")
     worst_row = max(
         validate_generator(g)["max_abs_row_sum"] / max(1.0, validate_generator(g)["nu"])
-        for g in (gens.q, *gens.lambdas)
+        for g in (gens.q, *dense(gens.lambdas))
     )
     min_off = min(
-        validate_generator(g)["min_off_diagonal"] for g in (gens.q, *gens.lambdas)
+        validate_generator(g)["min_off_diagonal"] for g in (gens.q, *dense(gens.lambdas))
     )
     ok = worst_row <= 1e-12 and min_off >= 0.0
     report("criterion 6 (generators)", ok,

@@ -21,6 +21,8 @@ from roughchain import (
 from roughchain.ctmc import assemble, tridiagonal_generator
 from roughchain.grids import Grid
 
+from conftest import dense
+
 
 def _grid(nodes, anchor_index=1):
     return Grid(nodes=np.asarray(nodes, float), anchor_index=anchor_index)
@@ -30,7 +32,7 @@ class TestTridiagonalRows:
     def test_uniform_zero_drift_unit_diffusion(self):
         # h = 0.1: off-diagonals 1/(2 h^2) = 50, diagonal -100
         g = _grid(np.arange(0.0, 0.5, 0.1))
-        q = tridiagonal_generator(g, np.zeros(5), np.ones(5))
+        q = dense(tridiagonal_generator(g, np.zeros(5), np.ones(5)))
         assert q[2, 1] == pytest.approx(50.0, rel=1e-13)
         assert q[2, 3] == pytest.approx(50.0, rel=1e-13)
         assert q[2, 2] == pytest.approx(-100.0, rel=1e-13)
@@ -42,7 +44,7 @@ class TestTridiagonalRows:
         grid = _grid(nodes)
         drift = rng.normal(0, 0.2, 10)
         diff2 = rng.uniform(0.5, 1.5, 10)
-        q = tridiagonal_generator(grid, drift, diff2)
+        q = dense(tridiagonal_generator(grid, drift, diff2))
         for i in range(1, 9):
             hm = nodes[i] - nodes[i - 1]
             hp = nodes[i + 1] - nodes[i]
@@ -54,14 +56,14 @@ class TestTridiagonalRows:
     def test_row_sums_zero(self):
         rng = np.random.default_rng(5)
         grid = _grid(np.linspace(0.0, 1.0, 20))
-        q = tridiagonal_generator(grid, rng.normal(0, 1, 20), rng.uniform(1, 2, 20))
+        q = dense(tridiagonal_generator(grid, rng.normal(0, 1, 20), rng.uniform(1, 2, 20)))
         assert np.abs(q.sum(axis=1)).max() <= 1e-12 * np.abs(np.diag(q)).max()
 
     def test_upwind_preserves_first_moment(self):
         grid = _grid(np.linspace(0.0, 1.0, 12))
         drift = np.linspace(-8.0, 8.0, 12)
         diff2 = np.full(12, 1e-3)
-        q = tridiagonal_generator(grid, drift, diff2)
+        q = dense(tridiagonal_generator(grid, drift, diff2))
         got = q @ grid.nodes
         assert np.abs(got[1:-1] - drift[1:-1]).max() <= 1e-10 * np.abs(drift).max()
         off = q - np.diag(np.diag(q))
@@ -71,7 +73,7 @@ class TestTridiagonalRows:
         grid = _grid(np.linspace(0.0, 1.0, 6))
         drift = np.full(6, 0.5)
         diff2 = np.full(6, 1.0)
-        outflow = tridiagonal_generator(grid, drift, diff2)
+        outflow = dense(tridiagonal_generator(grid, drift, diff2))
         assert outflow[0, 1] == pytest.approx(0.5 / 0.2)  # positive drift leaves the floor
         assert np.all(outflow[-1] == 0.0)                 # positive drift at the cap: no outflow
 
@@ -97,7 +99,7 @@ class TestTridiagonalRows:
         nodes = np.cumsum(np.concatenate([[0.0], rng.uniform(0.5, 1.5, n - 1)]))
         drift = np.full(n, drift_level)
         diff2 = np.full(n, diff_level)
-        q = tridiagonal_generator(_grid(nodes), drift, diff2)
+        q = dense(tridiagonal_generator(_grid(nodes), drift, diff2))
         assert np.abs(q.sum(axis=1)).max() <= 1e-10 * max(1.0, np.abs(q).max())
         assert (q - np.diag(np.diag(q))).min() >= 0.0
         got = (q @ nodes)[1:-1]
@@ -147,7 +149,7 @@ class TestBuildLambda:
         vg = build_variance_grid(10, market)
         xg = build_x_grid(40, market, chain, vg)
         v_ell = vg.nodes[5]
-        lam = build_lambda_family(xg, v_ell, chain, market, kernel)
+        lam = dense(build_lambda_family(xg, v_ell, chain, market, kernel))
         want = drift_theta(xg.nodes, v_ell, chain, market, kernel)
         got = lam @ xg.nodes
         assert np.abs(got[1:-1] - want[1:-1]).max() <= 1e-10 * max(1.0, np.abs(want).max())
@@ -159,7 +161,7 @@ class TestBuildLambda:
         vg = build_variance_grid(6, market)
         xg = build_x_grid(30, market, heston, vg)
         v_ell = 0.04
-        lam = build_lambda_family(xg, v_ell, heston, market, kernel)
+        lam = dense(build_lambda_family(xg, v_ell, heston, market, kernel))
         sq = np.array([lam[i] @ (xg.nodes - xg.nodes[i]) ** 2 for i in range(1, 29)])
         assert np.abs(sq - v_ell).max() <= 1e-10  # diffusion = phi^2 = v
 
@@ -169,7 +171,7 @@ class TestBuildLambda:
         market = MarketParams(s0=10.0, v0=0.04, rho=0.9999999)
         vg = build_variance_grid(6, market)
         xg = build_x_grid(15, market, heston, vg)
-        lam = build_lambda_family(xg, 0.04, heston, market, kernel)
+        lam = dense(build_lambda_family(xg, 0.04, heston, market, kernel))
         # essentially one off-diagonal per interior row
         for i in range(1, 14):
             lo, up = lam[i, i - 1], lam[i, i + 1]
@@ -184,22 +186,24 @@ class TestBatchedBuild:
         family = build_lambda_family(gens.xgrid, gens.vgrid.nodes, *args)
         single = np.stack([
             build_lambda_family(gens.xgrid, v, *args) for v in gens.vgrid.nodes
-        ])
-        assert family.shape == (24, 24, 24)
+        ], axis=1)
+        assert family.shape == (3, 24, 24)
         assert np.all(np.abs(family - single) <= 1e-15 * np.abs(single))
 
 
 class TestCoupled:
     def test_single_regime_is_lambda(self):
-        lam = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        coupled = build_coupled(np.array([[0.0]]), lam[None, :, :])
-        assert np.array_equal(coupled.toarray(), lam)
+        lam = np.array([[[0.0, 2.0]], [[-1.0, -2.0]], [[1.0, 0.0]]])  # [[-1, 1], [2, -2]]
+        coupled = build_coupled(np.array([[0.0]]), lam)
+        assert np.array_equal(coupled.toarray(), dense(lam)[0])
 
     def test_two_by_two_hand_assembly(self):
         q = np.array([[-3.0, 3.0], [4.0, -4.0]])
-        l1 = np.array([[-1.0, 1.0], [0.5, -0.5]])
-        l2 = np.array([[-2.0, 2.0], [1.5, -1.5]])
-        got = build_coupled(q, np.stack([l1, l2])).toarray()
+        planes = np.array([[[0.0, 0.5], [0.0, 1.5]],      # Lambda[i, i - 1]
+                           [[-1.0, -0.5], [-2.0, -1.5]],  # Lambda[i, i]
+                           [[1.0, 0.0], [2.0, 0.0]]])     # Lambda[i, i + 1]
+        l1, l2 = dense(planes)
+        got = build_coupled(q, planes).toarray()
         want = np.block([
             [q[0, 0] * np.eye(2) + l1, q[0, 1] * np.eye(2)],
             [q[1, 0] * np.eye(2), q[1, 1] * np.eye(2) + l2],
@@ -210,7 +214,7 @@ class TestCoupled:
         coupled, n = heston_system.coupled, heston_system.n
         assert coupled.format == "dia"
         assert sorted(coupled.offsets.tolist()) == [-n, -1, 0, 1, n]
-        want = np.kron(heston_system.q, np.eye(n)) + block_diag(*heston_system.lambdas)
+        want = np.kron(heston_system.q, np.eye(n)) + block_diag(*dense(heston_system.lambdas))
         assert np.array_equal(coupled.toarray(), want)
 
     def test_row_sums_and_shape(self, heston_system):
@@ -221,12 +225,12 @@ class TestCoupled:
 
     def test_shape_mismatch(self):
         with pytest.raises(GeneratorError, match="shape"):
-            build_coupled(np.zeros((2, 2)), np.zeros((3, 4, 4)))
+            build_coupled(np.zeros((2, 2)), np.zeros((3, 3, 4)))
 
 
 class TestAssemble:
     def test_sets_are_valid(self, heston_system):
-        for g in (heston_system.q, *heston_system.lambdas):
+        for g in (heston_system.q, *dense(heston_system.lambdas)):
             rep = validate_generator(g)
             assert rep["max_abs_row_sum"] <= 1e-12 * max(1.0, rep["nu"])
             assert rep["min_off_diagonal"] >= 0.0

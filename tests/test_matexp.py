@@ -3,12 +3,13 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm as expm_pade
 
-from roughchain import MODEL_NAMES, NumericalError, assemble, expm_action, expm_dense, pricing
+from roughchain import (MODEL_NAMES, GeneratorError, NumericalError, assemble, expm_action,
+                        expm_dense, matexp, pricing)
 from roughchain.ctmc import tridiagonal_generator
 from roughchain.grids import Grid
 from roughchain.matexp import _LAM_CAP, _TAIL, _series_length
 
-from conftest import random_generator
+from conftest import dense, random_generator
 
 
 class TestDense:
@@ -77,7 +78,7 @@ class TestBandStack:
         gens = assemble(all_models[name], market, kernel, n=24, m=24)
         dt = 1.0 / pricing._auto_slices(gens, 1.0)
         got = expm_dense(gens.lambdas, dt)
-        want = np.stack([expm_pade(lam * dt) for lam in gens.lambdas])
+        want = np.stack([expm_pade(lam * dt) for lam in dense(gens.lambdas)])
         assert np.abs(got - want).max() <= 1e-14
         assert np.abs(got.sum(axis=-1) - 1.0).max() <= 1e-14
         assert got.min() >= 0.0
@@ -86,11 +87,33 @@ class TestBandStack:
 
     def test_stiff_member_is_scaled_and_squared(self):
         stack = _tridiagonal_stack(3, 12, seed=12)
-        stack[1] *= 40.0
-        t = 30.0 / np.abs(np.diagonal(stack[1])).max()  # nu t = 30 on the stiff member
+        stack[:, 1] *= 40.0
+        t = 30.0 / np.abs(stack[1, 1]).max()  # nu t = 30 on the stiff member
         got = expm_dense(stack, t)
-        want = np.stack([expm_pade(g * t) for g in stack])
+        want = np.stack([expm_pade(g * t) for g in dense(stack)])
         assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("chunk_bytes, one_piece_bytes", [
+        (1, 0),            # one regime per chunk
+        (64 * 1024, 0),    # two to nine regimes per chunk, some of unequal series lengths
+        (matexp._CHUNK_BYTES, 2**40),  # the whole stack in one piece
+    ])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_chunking_changes_no_digit(self, name, chunk_bytes, one_piece_bytes, all_models,
+                                       market, kernel, monkeypatch):
+        # every regime's exponential equals, bit for bit, the one it gets alone
+        # (rough-42's stiff regime is summed at dt / 2^s and squared)
+        gens = assemble(all_models[name], market, kernel, n=24, m=24)
+        dt = 1.0 / pricing._auto_slices(gens, 1.0)
+        alone = np.stack([expm_dense(gens.lambdas[:, [l]], dt)[0] for l in range(gens.m)])
+        monkeypatch.setattr(matexp, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(matexp, "_ONE_PIECE_BYTES", one_piece_bytes)
+        assert np.array_equal(expm_dense(gens.lambdas, dt), alone)
+
+    def test_dense_stack_rejected(self):
+        # a 3-D input must be (3, K, n) planes: a dense (K, n, n) stack is refused
+        with pytest.raises(GeneratorError, match="planes"):
+            expm_dense(dense(_tridiagonal_stack(4, 6, seed=15)), 0.5)
 
     def test_zero_time_is_identity(self):
         got = expm_dense(_tridiagonal_stack(4, 6, seed=13), 0.0)
@@ -98,7 +121,7 @@ class TestBandStack:
 
     def test_non_generator_in_stack_rejected(self):
         stack = _tridiagonal_stack(4, 8, seed=14)
-        stack[2, 3, 3] -= 0.7  # row 3 of member 2 loses rate: its rows no longer sum to 0
+        stack[1, 2, 3] -= 0.7  # row 3 of member 2 loses rate: its rows no longer sum to 0
         with pytest.raises(NumericalError, match="stochastic"):
             expm_dense(stack, 0.5)
 

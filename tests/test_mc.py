@@ -43,8 +43,7 @@ def _path_major_v(model, market, mc, horizon, kernel, perturbed=False):
 
     k_steps = mc.n_steps(horizon)
     dt = horizon / k_steps
-    times = np.linspace(0.0, horizon, k_steps + 1)
-    wts = _kernel_weights(times, kernel.hurst, kernel.eps if perturbed else 0.0)
+    wts = _kernel_weights(k_steps, horizon, kernel.hurst, kernel.eps if perturbed else 0.0)
     wb, kb = wts[:, 0::2], wts[:, 1::2]
     out = []
     for b, start in enumerate(range(0, mc.paths, _BATCH)):
@@ -74,8 +73,8 @@ def _step_loop_price(option, model, market, kernel, mc):
     from roughchain.mc import (_batches, _is_log_asset, _kernel_weights, _v_positive_part,
                                _v_recursion)
 
-    times, dt, batches = _batches(mc, option.maturity, draws=2)
-    wts = _kernel_weights(times, kernel.hurst, 0.0)
+    _, dt, batches = _batches(mc, option.maturity, draws=2)
+    wts = _kernel_weights(mc.n_steps(option.maturity), option.maturity, kernel.hurst, 0.0)
     (r, q), rho, log_asset = model.rates, market.rho, _is_log_asset(model)
     pays = []
     for db, dperp in batches:
@@ -294,7 +293,7 @@ class TestKernelWeights:
         times = np.linspace(0.0, 1.0, 257)
         a, hurst = 0.62, 0.12
         gam = float(gamma_fn(a))
-        wts = _kernel_weights(times, hurst, shift)
+        wts = _kernel_weights(256, 1.0, hurst, shift)
         wb, kb = wts[:, 0::2], wts[:, 1::2]
         assert not np.triu(wb, 1).any() and not np.triu(kb, 1).any()
         for k in (1, 2, 100, 256):
@@ -303,6 +302,14 @@ class TestKernelWeights:
             k2 = (hi ** (2 * hurst) - lo ** (2 * hurst)) / (2 * hurst * gam**2)
             assert np.array_equal(wb[k - 1, :k], (hi**a - lo**a) / (a * gam))
             assert np.array_equal(kb[k - 1, :k], np.sqrt(np.maximum(k2, 0.0) / times[1]))
+
+    def test_cached_and_read_only(self):
+        # every price at one grid, Hurst index and shift reads the same matrix
+        from roughchain.mc import _kernel_weights
+
+        wts = _kernel_weights(128, 0.5, 0.12, 0.0)
+        assert _kernel_weights(128, 0.5, 0.12, 0.0) is wts
+        assert not wts.flags.writeable
 
 
 class TestL2Rate:

@@ -20,6 +20,8 @@ from roughchain import (
 )
 from roughchain.presets import model_params
 
+from conftest import dense
+
 CALL = OptionSpec("call", 4.0, 1.0)
 
 
@@ -107,7 +109,7 @@ class TestEuropean:
         want = {"q_max_abs_row_sum": report["max_abs_row_sum"],
                 "q_min_off_diagonal": report["min_off_diagonal"]}
         assert first.diagnostics["validation"] == second.diagnostics["validation"] == want
-        nu = np.abs(np.diagonal(gens.lambdas, axis1=1, axis2=2)).max()
+        nu = np.abs(np.diagonal(dense(gens.lambdas), axis1=1, axis2=2)).max()
         assert gens.nu_lambda == nu
 
     def test_fast_coupled_gap_shrinks_with_grid(self, heston, market, kernel):
