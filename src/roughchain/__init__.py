@@ -32,8 +32,6 @@ from .models import (
     MODEL_NAMES,
     MarketParams,
     ModelSpec,
-    chain_model,
-    chain_scale,
     drift_theta,
     make_model,
 )

@@ -54,8 +54,7 @@ def default_config() -> dict:
         "kernel": dict(presets.BASE_KERNEL),
         "numerics": {
             "n_x": 100, "m_v": 100, "method": "fast",
-            "formulation": "stable", "v_bounds": None, "x_bounds": None,
-            "bermudan_dates": None,
+            "v_bounds": None, "x_bounds": None, "bermudan_dates": None,
         },
         "option": dict(presets.BASE_OPTION, barrier=None),
         "mc": {"paths": 100000, "steps": 256, "seed": 20240, "antithetic": False},
@@ -151,7 +150,6 @@ def _build_system(cfg: dict) -> ctmc.GeneratorSet:
         n=num["n_x"], m=num["m_v"],
         v_bounds=tuple(num["v_bounds"]) if num["v_bounds"] else None,
         x_bounds=tuple(num["x_bounds"]) if num["x_bounds"] else None,
-        formulation=num["formulation"],
     )
 
 

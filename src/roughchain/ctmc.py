@@ -34,7 +34,7 @@ import numpy as np
 from .errors import GeneratorError
 from .grids import Grid, build_variance_grid, build_x_grid
 from .kernel import KernelSpec
-from .models import MarketParams, ModelSpec, asset_level, chain_model, drift_theta, variance_drift
+from .models import MarketParams, ModelSpec, asset_level, drift_theta, variance_drift
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -96,7 +96,7 @@ def build_Q(
     market: MarketParams,
     kernel: KernelSpec,
 ) -> np.ndarray:
-    """Variance-chain generator of a chain model: drift `variance_drift`, diffusion sigma^2."""
+    """Variance-chain generator: drift `variance_drift`, diffusion sigma^2."""
     v = vgrid.nodes
     lower, diag, upper = tridiagonal_generator(
         vgrid, variance_drift(v, model, market, kernel), model.sigma(v) ** 2)
@@ -116,7 +116,7 @@ def build_lambda_family(
     market: MarketParams,
     kernel: KernelSpec,
 ) -> np.ndarray:
-    """Auxiliary-chain generators of a chain model at frozen variance levels, in one pass.
+    """Auxiliary-chain generators at frozen variance levels, in one pass.
 
     Returned as ``tridiagonal_generator`` planes: a scalar level gives shape
     (3, N), an array of levels (3,) + levels.shape + (N,).
@@ -172,9 +172,7 @@ def validate_generator(gen: np.ndarray) -> dict:
 
 @dataclass
 class GeneratorSet:
-    """Grids, generators and the build context of one chain system.
-
-    ``model`` is the true model, not the chain model the generators run."""
+    """Grids, generators and the build context of one chain system."""
 
     q: np.ndarray                # dense (M, M)
     lambdas: np.ndarray          # regime family as (3, M, N) planes (``tridiagonal_generator``)
@@ -184,7 +182,6 @@ class GeneratorSet:
     model: ModelSpec
     market: MarketParams
     kernel: KernelSpec
-    formulation: str = "stable"
     _cache: dict = field(init=False, default_factory=dict, repr=False)  # written by pricing
 
     @property
@@ -224,22 +221,20 @@ def assemble(
     m: int = 100,
     v_bounds: tuple[float, float] | None = None,
     x_bounds: tuple[float, float] | None = None,
-    formulation: str = "stable",
 ) -> GeneratorSet:
-    """Build grids and both generator layers on the chain model of ``formulation``."""
-    chain = chain_model(model, kernel, formulation)
+    """Build the grids and both generator layers of ``model``."""
     vgrid = build_variance_grid(m, market, v_bounds)
-    xgrid = build_x_grid(n, market, chain, vgrid, x_bounds)
+    xgrid = build_x_grid(n, market, model, vgrid, x_bounds)
     # coefficient positivity on the state rectangle
     v = vgrid.nodes
     if np.any(model.phi(v) <= 0) or np.any(model.sigma(v) <= 0):
         raise GeneratorError("phi or sigma not positive on the variance grid")
-    asset_states = asset_level(xgrid.nodes, v[:, None], chain, market)
+    asset_states = asset_level(xgrid.nodes, v[:, None], model, market)
     if np.any(model.nu(asset_states) <= 0):
         raise GeneratorError("nu not positive on the reconstructed asset states")
     return GeneratorSet(
-        q=build_Q(vgrid, chain, market, kernel),
-        lambdas=build_lambda_family(xgrid, v, chain, market, kernel),
+        q=build_Q(vgrid, model, market, kernel),
+        lambdas=build_lambda_family(xgrid, v, model, market, kernel),
         vgrid=vgrid, xgrid=xgrid, asset_states=asset_states,
-        model=model, market=market, kernel=kernel, formulation=formulation,
+        model=model, market=market, kernel=kernel,
     )

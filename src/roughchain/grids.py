@@ -119,7 +119,7 @@ def build_x_grid(
     vgrid: Grid,
     bounds: tuple[float, float] | None = None,
 ) -> Grid:
-    """Auxiliary grid of a chain model, anchored at X0 = g(S0) - rho f(V0).
+    """Auxiliary grid anchored at X0 = g(S0) - rho f(V0).
 
     Default bounds [1e-3 X0, 4 X0] are clamped so that x + rho f(v) stays
     inside the open image of g for every node of ``vgrid`` (relevant for the

@@ -9,15 +9,15 @@ shifted kernel is a Laplace transform of the positive measure
 
     m(dg) = g^(-H - 1/2) dg / (Gamma(H + 1/2) * Gamma(1/2 - H)),
 
-and three scalar constants derived from m feed the generator construction:
+with three scalar constants derived from m:
 
     Keps = K(t + eps, t) = eps^(H - 1/2) / Gamma(H + 1/2)
     R    = int_0^inf exp(-g eps) exp(-g) m(dg) = (1 + eps)^(H - 1/2) / Gamma(H + 1/2)
     Rhat = -int_0^inf exp(-g eps) g exp(-g) m(dg) / R = -(1/2 - H) / (1 + eps)
 
-The closed forms are used everywhere in production; `laplace_quadrature`
-exists as an independent oracle for them (and for the Laplace representation
-of the kernel itself).
+Rhat sets the variance chain's memory drift (v - V0) Rhat.  The closed forms
+are checked against `laplace_quadrature`, an independent oracle for them (and
+for the Laplace representation of the kernel itself).
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ class KernelSpec:
                 raise ParameterError(f"{name} must be a number") from None
         if not 0.0 < self.hurst <= 0.5:
             raise ParameterError(f"hurst must be in (0, 0.5], got {self.hurst}")
-        if not self.eps > 0.0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ParameterError(f"eps must be finite and positive, got {self.eps}")
 
     @property
     def gamma_h(self) -> float:

@@ -57,14 +57,18 @@ _THETA13 = 5.371920351148152
 def expm_dense(gen, t: float) -> np.ndarray:
     """Dense transition matrix exp(G t) of a generator of size <= _DENSE_CAP.
 
-    ``gen`` is one matrix (dense, or sparse with a ``toarray`` method), whose
-    exponential is ``_pade13``'s, or the (3, K, n) diagonal planes of K
-    tridiagonal generators (see ``ctmc.tridiagonal_generator``), whose
-    (K, n, n) exponentials are ``_band_series``'s.
+    ``gen`` is one dense matrix, whose exponential is ``_pade13``'s, or the
+    (3, K, n) diagonal planes of K tridiagonal generators (see
+    ``ctmc.tridiagonal_generator``), whose (K, n, n) exponentials are
+    ``_band_series``'s; a sparse matrix is refused (``expm_action`` takes it).
     Rows are checked to sum to one (1e-10) and entries to be nonnegative up
     to -1e-12; tiny negative round-off is clamped to zero after the check.
     """
-    g = np.asarray(gen.toarray() if hasattr(gen, "toarray") else gen, dtype=float)
+    try:
+        g = np.asarray(gen, dtype=float)
+    except (TypeError, ValueError):
+        raise GeneratorError(f"expected a dense array, got {type(gen).__name__}; "
+                             "a sparse generator goes to expm_action") from None
     n = g.shape[-1]
     if not (g.ndim == 2 and g.shape[0] == n or g.ndim == 3 and g.shape[0] == 3):
         raise GeneratorError(
@@ -93,9 +97,10 @@ def _pade13(a: np.ndarray) -> np.ndarray:
     s is the least with ||a / 2^s||_1 <= _THETA13.  The Pade value r = I + E
     comes as E = 2 (V - U)^-1 U and is squared as E <- 2E + E^2, so the
     identity never rounds the small entries of E against 1.  Squaring I + E
-    itself roughly doubles a generator's row defect per squaring: for
-    rough-42's markov Q at eps = 1e-8, N = M = 80 (s = 20) the defect is
-    2.6e-10 that way and 2.6e-14 this way.  A zero matrix gives I exactly.
+    itself can double a generator's row defect per squaring: on a tridiagonal
+    generator that needed s = 20 the defect was 2.6e-10 that way, above
+    ``expm_dense``'s 1e-10 row check, and 2.6e-14 this way.  A zero matrix
+    gives I exactly.
     """
     n = a.shape[0]
     norm = np.abs(a).sum(axis=0).max()

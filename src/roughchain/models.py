@@ -11,16 +11,14 @@ together with the decoupling transforms
     f(v) = int phi(v) / sigma(v) dv (variance transform)
 
 The auxiliary state is X = g(S) - rho f(V), whose drift `drift_theta` below
-is obtained from Ito's formula.  The chain runs the variance law scaled by c:
-c = Keps for the shifted-kernel Markovian system ("markov" formulation), c = 1
-for the stabilized chain the engine prices with by default ("stable").  c
-enters once, through `chain_model`; grids and generators are built on it.
+is obtained from Ito's formula.  The variance chain runs b and sigma as given,
+with the memory drift (v - V0) Rhat of `variance_drift`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,8 +31,6 @@ __all__ = [
     "ModelSpec",
     "MarketParams",
     "make_model",
-    "chain_scale",
-    "chain_model",
     "variance_drift",
     "asset_level",
     "drift_theta",
@@ -78,8 +74,8 @@ class MarketParams:
                 object.__setattr__(self, name, float(getattr(self, name)))
             except (TypeError, ValueError):
                 raise ParameterError(f"{name} must be a number") from None
-        if not self.s0 > 0:
-            raise ParameterError(f"s0 must be positive, got {self.s0}")
+        if not 0.0 < self.s0 < np.inf:
+            raise ParameterError(f"s0 must be finite and positive, got {self.s0}")
         if not abs(self.rho) < 1:
             raise ParameterError(f"rho must lie in (-1, 1), got {self.rho}")
 
@@ -89,9 +85,9 @@ class ModelSpec:
     """Coefficient functions and transforms of one volatility family.
 
     All callables accept floats or numpy arrays.  ``f_primitive`` is int
-    phi/sigma of this model's own sigma, so a `chain_model` carries f/c.
-    ``asset_domain`` is "positive" (S > 0) or "real"; ``g_range`` bounds the
-    image of g (used to clamp auxiliary grids inside the transform domain).
+    phi/sigma.  ``asset_domain`` is "positive" (S > 0) or "real"; ``g_range``
+    bounds the image of g (used to clamp auxiliary grids inside the transform
+    domain).
     """
 
     name: str
@@ -246,32 +242,8 @@ def make_model(name: str, params: dict) -> ModelSpec:
 # transforms and the auxiliary drift
 # --------------------------------------------------------------------------
 
-def chain_scale(kernel: KernelSpec, formulation: str = "stable") -> float:
-    """Scale constant c of the variance chain.
-
-    "markov" uses c = Keps (the shifted-kernel Markovian system exactly as
-    derived); "stable" uses c = 1, the stabilized chain whose dynamics stay
-    bounded as eps -> 0.
-    """
-    if formulation == "markov":
-        return kernel.k_eps
-    if formulation == "stable":
-        return 1.0
-    raise ParameterError(f"unknown formulation {formulation!r}")
-
-
-def chain_model(model: ModelSpec, kernel: KernelSpec, formulation: str = "stable") -> ModelSpec:
-    """The model the chain runs: b, sigma and sigma' times c = chain_scale, f over c.
-
-    c enters every chain formula only so; "stable" (c = 1) is exact."""
-    c = chain_scale(kernel, formulation)
-    return replace(model, b=lambda v: c * model.b(v), sigma=lambda v: c * model.sigma(v),
-                   sigma_prime=lambda v: c * model.sigma_prime(v),
-                   f_primitive=lambda v: model.f_primitive(v) / c)
-
-
 def variance_drift(v, model: ModelSpec, market: MarketParams, kernel: KernelSpec):
-    """Variance-chain drift (v - V0) Rhat + b(v); on a chain model b carries c."""
+    """Variance-chain drift (v - V0) Rhat + b(v)."""
     _, _, rhat = laplace_constants(kernel)
     return (np.asarray(v, float) - market.v0) * rhat + model.b(v)
 
@@ -282,7 +254,7 @@ def asset_level(x, v, model: ModelSpec, market: MarketParams):
 
 
 def drift_theta(x, v, model: ModelSpec, market: MarketParams, kernel: KernelSpec):
-    """Drift of the auxiliary state X = g(S) - rho f(V) at (x, v) of a chain model.
+    """Drift of the auxiliary state X = g(S) - rho f(V) at (x, v).
 
     With s = g^{-1}(x + rho f(v)) and the variance-chain drift d(v):
 

@@ -83,10 +83,10 @@ class OptionSpec:
             raise ParameterError(f"bermudan_dates must be an integer, got {dates!r}")
         if self.kind not in ("call", "put"):
             raise ParameterError(f"kind must be 'call' or 'put', got {self.kind!r}")
-        if self.strike < 0:
-            raise ParameterError("strike must be nonnegative")
-        if not self.maturity > 0:
-            raise ParameterError("maturity must be positive")
+        if not 0.0 <= self.strike < np.inf:
+            raise ParameterError(f"strike must be finite and nonnegative, got {self.strike}")
+        if not 0.0 < self.maturity < np.inf:
+            raise ParameterError(f"maturity must be finite and positive, got {self.maturity}")
         if self.barrier is not None:
             try:
                 lo, up = map(float, self.barrier)
@@ -229,7 +229,7 @@ def _price(option: OptionSpec, gens: GeneratorSet, method: str) -> PriceResult:
         extra["n_slices"] = n * dates
     return PriceResult(price=float(price), diagnostics={
         "method": method, "n": gens.n, "m": gens.m,
-        "eps": gens.kernel.eps, "hurst": gens.kernel.hurst, "formulation": gens.formulation,
+        "eps": gens.kernel.eps, "hurst": gens.kernel.hurst,
         "kind": option.kind, "strike": option.strike, "maturity": option.maturity,
         "wall_time": time.perf_counter() - t0,
         "validation": {"q_max_abs_row_sum": gens.q_report["max_abs_row_sum"],

@@ -193,14 +193,11 @@ def test_criterion_6_generator_properties():
 def test_criterion_6_moment_matching():
     gens = system("rough-heston", size=60)
     v = gens.vgrid.nodes
-    from roughchain import chain_scale
-
     _, _, rhat = laplace_constants(gens.kernel)
-    c = chain_scale(gens.kernel, gens.formulation)
-    drift_want = (v - MARKET.v0) * rhat + c * gens.model.b(v)
+    drift_want = (v - MARKET.v0) * rhat + gens.model.b(v)
     drift_err = np.abs((gens.q @ v - drift_want)[1:-1]).max()
     # second moments on rows where the central solution is valid
-    s2 = (c * gens.model.sigma(v)) ** 2
+    s2 = gens.model.sigma(v) ** 2
     h = gens.vgrid.spacings
     central = (s2[1:-1] - np.abs(drift_want[1:-1]) * np.maximum(h[:-1], h[1:])) > 0
     sq = np.array([gens.q[i] @ (v - v[i]) ** 2 for i in range(1, len(v) - 1)])

@@ -1,0 +1,72 @@
+"""The names the benchmark harness reads from roughchain still resolve.
+
+``perfbench/`` wraps roughchain functions at the module globals where the
+engine looks them up (``tracing._sites``) and builds its systems, options
+and ``cli.run`` ops through ``workloads.Engine``.  A rename or deletion in
+``src/`` that the harness still uses would otherwise show only when the
+benchmark runs.  The harness files are loaded as they are, without writing
+bytecode next to them.
+"""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+import roughchain
+import roughchain.cli  # noqa: F401 (the tracer wraps cli functions)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
+
+
+def test_every_traced_site_resolves(tracing):
+    sites = tracing._sites(roughchain)
+    missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in sites
+               if not callable(getattr(module, attr, None))]
+    assert missing == []
+    originals = [getattr(module, attr) for module, attr, _, _ in sites]
+    with tracing.Tracer().installed(roughchain):
+        pass
+    assert [getattr(module, attr) for module, attr, _, _ in sites] == originals
+
+
+def test_engine_builds_systems_and_dated_options(workloads):
+    eng = workloads.Engine(roughchain)
+    for fam in workloads.FAMILIES:
+        gens = eng.assemble(fam, 8)
+        assert (gens.m, gens.n) == (8, 8)
+        put = eng.option(fam, "put", 10.0, 0.5, dates=2)  # passes the model's rate=
+        assert put.rate == gens.model.rates[0] and put.bermudan_dates == 2
+        price = eng.pricing.price_bermudan(put, gens).price
+        assert math.isfinite(price) and price >= 0.0
+
+
+def test_one_sweep_cold_op_prices(workloads):
+    eng = workloads.Engine(roughchain)
+    ops = {op.key: op for op in workloads.WORKLOADS["sweep-cold"].ops(eng, None, 0)}
+    (price,) = ops["rough-heston/cli-grid:N=M=40"].call()
+    assert math.isfinite(price) and price > 0.0

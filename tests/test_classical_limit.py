@@ -1,7 +1,7 @@
 """The classical limit H = 1/2 as an exact gate.
 
-At H = 1/2 the kernel is 1, so K_eps = 1 and Rhat = 0: both formulations give
-the same chain, and rough-heston is classical Heston,
+At H = 1/2 the kernel is 1, so Rhat = 0: the chain has no memory drift, and
+rough-heston is classical Heston,
 dV = eta (theta - V) dt + sigma sqrt(V) dB, whose European prices are a
 one-dimensional Fourier integral (Heston, RFS 1993).  The oracle below uses
 the stable form of Albrecher, Mayer, Schoutens & Tistaert (Wilmott 2007).

@@ -117,16 +117,23 @@ class TestPriceCommand:
         "numerics.v_bounds=[0.5,0.1]",
         "numerics.x_bounds=[5,1]",
         "market.v0=0",
+        "option.strike=NaN",
+        "option.strike=Infinity",
+        "option.maturity=Infinity",
+        "kernel.eps=Infinity",
+        "market.s0=Infinity",
     ])
     def test_malformed_value_exit_code(self, tmp_path, override):
         code, _ = _run("price", tmp_path, config=SMALL, overrides=[override])
         assert code == 2
 
     def test_unknown_formulation_exit_code(self, tmp_path, capsys):
-        code, _ = _run("price", tmp_path, config=SMALL,
-                       overrides=["numerics.formulation=bogus"])
-        assert code == 2
-        assert "unknown formulation 'bogus'" in capsys.readouterr().err
+        # the chain is built on the model itself; a config that still picks a
+        # formulation is refused, naming the key
+        config = {"numerics": dict(SMALL["numerics"], formulation="stable")}
+        code, out = _run("price", tmp_path, config=config)
+        assert code == 2 and out == ""
+        assert "unknown key numerics.formulation" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # x-bounds that exclude the anchor: the grid cannot be built

@@ -12,8 +12,6 @@ from roughchain import (
     build_Q,
     build_variance_grid,
     build_x_grid,
-    chain_model,
-    chain_scale,
     drift_theta,
     laplace_constants,
     validate_generator,
@@ -109,23 +107,21 @@ class TestTridiagonalRows:
 class TestBuildQ:
     def test_drift_and_diffusion_inputs(self, heston, market, kernel):
         vg = build_variance_grid(30, market)
-        for formulation in ("stable", "markov"):
-            q = build_Q(vg, chain_model(heston, kernel, formulation), market, kernel)
-            c = chain_scale(kernel, formulation)
-            _, _, rhat = laplace_constants(kernel)
-            v = vg.nodes
-            want = (v - market.v0) * rhat + c * heston.b(v)
-            got = q @ v
-            assert np.abs(got[1:-1] - want[1:-1]).max() <= 1e-9 * np.abs(want).max()
-            # second moment on rows where the central scheme is valid
-            h = vg.spacings
-            s2 = (c * heston.sigma(v)) ** 2
-            central = (s2[1:-1] - np.abs(want[1:-1]) * np.maximum(h[:-1], h[1:])) > 0
-            sq = np.array(
-                [q[i] @ (v - v[i]) ** 2 for i in range(1, len(v) - 1)]
-            )
-            err = np.abs(sq[central] - s2[1:-1][central])
-            assert err.max() <= 1e-10 * s2.max()
+        q = build_Q(vg, heston, market, kernel)
+        _, _, rhat = laplace_constants(kernel)
+        v = vg.nodes
+        want = (v - market.v0) * rhat + heston.b(v)
+        got = q @ v
+        assert np.abs(got[1:-1] - want[1:-1]).max() <= 1e-9 * np.abs(want).max()
+        # second moment on rows where the central scheme is valid
+        h = vg.spacings
+        s2 = heston.sigma(v) ** 2
+        central = (s2[1:-1] - np.abs(want[1:-1]) * np.maximum(h[:-1], h[1:])) > 0
+        sq = np.array(
+            [q[i] @ (v - v[i]) ** 2 for i in range(1, len(v) - 1)]
+        )
+        err = np.abs(sq[central] - s2[1:-1][central])
+        assert err.max() <= 1e-10 * s2.max()
 
     def test_closed_form_at_anchor(self, heston, market):
         # at v = v0 the memory drift vanishes; check entries by substitution
@@ -143,14 +139,12 @@ class TestBuildQ:
 
 
 class TestBuildLambda:
-    @pytest.mark.parametrize("formulation", ["stable", "markov"])
-    def test_moment_reproduction(self, heston, market, kernel, formulation):
-        chain = chain_model(heston, kernel, formulation)
+    def test_moment_reproduction(self, heston, market, kernel):
         vg = build_variance_grid(10, market)
-        xg = build_x_grid(40, market, chain, vg)
+        xg = build_x_grid(40, market, heston, vg)
         v_ell = vg.nodes[5]
-        lam = dense(build_lambda_family(xg, v_ell, chain, market, kernel))
-        want = drift_theta(xg.nodes, v_ell, chain, market, kernel)
+        lam = dense(build_lambda_family(xg, v_ell, heston, market, kernel))
+        want = drift_theta(xg.nodes, v_ell, heston, market, kernel)
         got = lam @ xg.nodes
         assert np.abs(got[1:-1] - want[1:-1]).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
@@ -238,7 +232,3 @@ class TestAssemble:
     def test_anchor_reconstructs_s0(self, heston_system):
         l0, i0 = heston_system.anchor_indices
         assert heston_system.asset_states[l0, i0] == pytest.approx(10.0, rel=1e-12)
-
-    def test_markov_formulation_builds(self, heston, market, kernel):
-        gens = assemble(heston, market, kernel, n=20, m=20, formulation="markov")
-        assert validate_generator(gens.q)["min_off_diagonal"] >= 0.0

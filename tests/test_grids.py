@@ -6,7 +6,6 @@ from roughchain import (
     MarketParams,
     build_variance_grid,
     build_x_grid,
-    chain_model,
     make_model,
 )
 from roughchain.presets import model_params
@@ -48,11 +47,10 @@ class TestVarianceGrid:
 
 
 class TestXGrid:
-    def test_heston_anchor_value(self, market, heston, kernel):
+    def test_heston_anchor_value(self, market, heston):
         vg = build_variance_grid(20, market)
-        chain = chain_model(heston, kernel, "markov")
-        g = build_x_grid(50, market, chain, vg)
-        f0 = chain.f_primitive(0.04)
+        g = build_x_grid(50, market, heston, vg)
+        f0 = heston.f_primitive(0.04)
         want = np.log(10.0) - (-0.75) * f0
         assert g.nodes[g.anchor_index] == pytest.approx(want, rel=1e-15)
 

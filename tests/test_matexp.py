@@ -43,6 +43,13 @@ class TestDense:
         with pytest.raises(NumericalError, match="stochastic"):
             expm_dense(a, 1.0)
 
+    @pytest.mark.parametrize("fmt", ["csr", "dia"])
+    def test_sparse_input_rejected(self, fmt):
+        # a sparse generator is applied by expm_action, never made dense here
+        g = sparse.csr_matrix(random_generator(6, seed=3)).asformat(fmt)
+        with pytest.raises(GeneratorError, match="sparse generator goes to expm_action"):
+            expm_dense(g, 1.0)
+
 
 class TestPade:
     @pytest.mark.parametrize("size", [24, 100])
@@ -197,7 +204,7 @@ class TestAction:
         act = expm_action(g, w, t, tol=1e-10)
         monkeypatch.undo()
         assert len(products) <= lam + 8.0 * np.sqrt(lam) + 30.0
-        assert np.abs(act - expm_dense(g, t) @ w).max() <= 1e-9
+        assert np.abs(act - expm_dense(g.toarray(), t) @ w).max() <= 1e-9
 
     def test_dia_and_csr_agree(self, heston_system):
         g = heston_system.coupled

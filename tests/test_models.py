@@ -4,11 +4,13 @@ import pytest
 from roughchain import (
     MODEL_NAMES,
     DomainError,
-    KernelSpec,
     MarketParams,
     ParameterError,
-    chain_model,
-    chain_scale,
+    assemble,
+    build_lambda_family,
+    build_Q,
+    build_variance_grid,
+    build_x_grid,
     drift_theta,
     laplace_constants,
     make_model,
@@ -16,7 +18,6 @@ from roughchain import (
 from roughchain.presets import model_params
 
 # frozen with 40-digit arithmetic
-F_HESTON_004_MARKOV = 0.000065894523945540087676  # 0.04/(Keps(1e-8)*0.8)
 G_SABR_10 = 6.6508743832295986712                 # 10**0.3/0.3
 G_QSLV_10 = 7.3047863094312184174
 
@@ -126,21 +127,15 @@ class TestTransforms:
     def test_quadratic_arctan_transform_value(self, all_models):
         assert all_models["rough-quadratic-slv"].g(10.0) == pytest.approx(G_QSLV_10, rel=1e-14)
 
-    def test_heston_f_markov_scale(self, heston, kernel):
-        got = chain_model(heston, kernel, "markov").f_primitive(0.04)
-        assert got == pytest.approx(F_HESTON_004_MARKOV, rel=1e-13)
-
-    def test_f_numerical_integration_oracle(self, all_models, kernel):
-        # f' = phi/(c sigma): compare the closed-form primitive difference
+    def test_f_numerical_integration_oracle(self, all_models):
+        # f' = phi/sigma: compare the closed-form primitive difference
         # against trapezoid integration of the integrand for the 4/2 family
         model = all_models["rough-42"]
-        c = chain_scale(kernel, "markov")
         lo, hi = 0.02, 0.09
         u = np.linspace(lo, hi, 20001)
-        integrand = model.phi(u) / (c * model.sigma(u))
+        integrand = model.phi(u) / model.sigma(u)
         quad = np.trapezoid(integrand, u)
-        chain = chain_model(model, kernel, "markov")
-        closed = chain.f_primitive(hi) - chain.f_primitive(lo)
+        closed = model.f_primitive(hi) - model.f_primitive(lo)
         assert closed == pytest.approx(quad, rel=1e-8)
 
     def test_g_inverse_domain_guard(self, all_models):
@@ -170,29 +165,19 @@ class TestCoefficientDerivatives:
 
 
 class TestChainModel:
-    COEFFICIENTS = ("b", "sigma", "sigma_prime", "f_primitive")
-
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_stable_is_the_model_bit_for_bit(self, name, all_models, kernel):
+    def test_stable_is_the_model_bit_for_bit(self, name, all_models, market, kernel):
+        # the chain runs the model itself: assemble's x-grid, Q and regime
+        # family are the ones built from the model's own coefficients
         model = all_models[name]
-        chain = chain_model(model, kernel, "stable")
-        v = np.linspace(0.001, 0.16, 17)
-        for coef in self.COEFFICIENTS:
-            assert np.array_equal(getattr(chain, coef)(v), getattr(model, coef)(v)), coef
-
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_markov_scales_by_keps(self, name, all_models):
-        model = all_models[name]
-        spec = KernelSpec(hurst=0.12, eps=1e-2)
-        c = chain_scale(spec, "markov")
-        chain = chain_model(model, spec, "markov")
-        v = np.linspace(0.001, 0.16, 17)
-        assert np.array_equal(chain.b(v), c * model.b(v))
-        assert np.array_equal(chain.sigma(v), c * model.sigma(v))
-        assert np.array_equal(chain.sigma_prime(v), c * model.sigma_prime(v))
-        assert np.array_equal(chain.f_primitive(v), model.f_primitive(v) / c)
-        # the asset side and the rates are the model's own
-        assert chain.phi is model.phi and chain.g is model.g and chain.rates == model.rates
+        gens = assemble(model, market, kernel, n=16, m=12)
+        vgrid = build_variance_grid(12, market)
+        xgrid = build_x_grid(16, market, model, vgrid)
+        assert gens.model is model
+        assert np.array_equal(gens.xgrid.nodes, xgrid.nodes)
+        assert np.array_equal(gens.q, build_Q(vgrid, model, market, kernel))
+        assert np.array_equal(gens.lambdas,
+                              build_lambda_family(xgrid, vgrid.nodes, model, market, kernel))
 
 
 class TestDriftTheta:
@@ -202,20 +187,17 @@ class TestDriftTheta:
             got = drift_theta(np.log(10.0), v, heston, market, kernel)
             assert got == pytest.approx(-v / 2, abs=1e-14)
 
-    @pytest.mark.parametrize("formulation", ["stable", "markov"])
-    def test_heston_closed_form_row(self, heston, market, kernel, formulation):
-        # r - q - v/2 - rho eta (theta - v)/sigma + rho (v - v0) Rhat/(c sigma)
-        c = chain_scale(kernel, formulation)
+    def test_heston_closed_form_row(self, heston, market, kernel):
+        # r - q - v/2 - rho eta (theta - v)/sigma + rho (v - v0) Rhat/sigma
         _, _, rhat = laplace_constants(kernel)
-        chain = chain_model(heston, kernel, formulation)
-        x0 = np.log(10.0) - market.rho * chain.f_primitive(market.v0)
+        x0 = np.log(10.0) - market.rho * heston.f_primitive(market.v0)
         for v in (0.004, 0.04, 0.1):
             want = (
                 -v / 2
                 - market.rho * 4 * (0.035 - v) / 0.8
-                - market.rho * (v - market.v0) * rhat / (c * 0.8)
+                - market.rho * (v - market.v0) * rhat / 0.8
             )
-            got = drift_theta(x0, v, chain, market, kernel)
+            got = drift_theta(x0, v, heston, market, kernel)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_sabr_closed_form_row(self, all_models, kernel):
@@ -225,11 +207,10 @@ class TestDriftTheta:
         market = MarketParams(s0=10.0, v0=0.04, rho=-0.75)
         beta = 0.7
         v0 = market.v0
-        chain = chain_model(sabr, kernel, "markov")
-        f0 = chain.f_primitive(v0)
+        f0 = sabr.f_primitive(v0)
         x = sabr.g(10.0) - market.rho * f0
         want = -beta * v0**2 / (2 * (1 - beta) * (x + market.rho * f0))
-        got = drift_theta(x, v0, chain, market, kernel)
+        got = drift_theta(x, v0, sabr, market, kernel)
         assert got == pytest.approx(want, abs=1e-10)
 
 

@@ -374,18 +374,6 @@ class TestBermudan:
         assert fast.diagnostics["n_slices"] == 4 * -(-pricing._auto_slices(gens, 1.0) // 4)
 
 
-class TestMarkovFormulation:
-    def test_fast_matches_coupled_at_moderate_eps(self, heston, market):
-        # the literal shifted-kernel system is priced consistently too
-        from roughchain import KernelSpec
-
-        spec = KernelSpec(hurst=0.12, eps=1e-2)
-        gens = assemble(heston, market, spec, n=24, m=24, formulation="markov")
-        fast = price_fast(CALL, gens).price
-        coupled = price_european_coupled(CALL, gens).price
-        assert abs(fast - coupled) <= 5e-3 * coupled
-
-
 class TestTranslationInvariance:
     def test_price_invariant_under_g_base_shift(self, heston, market, kernel):
         shift = 2.5
