@@ -20,7 +20,8 @@ Memory: a tridiagonal generator is kept as its three diagonals, a
 Lambda_l is one (3, M, N) array from its build through ``GeneratorSet``,
 ``nu_lambda``, the coupled DIA matrix and ``matexp.expm_dense``, so no
 (M, N, N) generator stack is ever formed; only Q is dense (M x M), as its
-Pade exponential needs.
+Pade exponential needs.  Its exponential exp(Lambda_l dt) is a dense stack
+only up to 2 MiB, and band rows above (see ``matexp``).
 """
 
 from __future__ import annotations

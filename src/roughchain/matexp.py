@@ -1,34 +1,40 @@
 """Matrix exponentials of generators.
 
-* ``expm_dense`` gives dense transition matrices.  A single matrix (the
+* ``expm_dense`` gives transition matrices.  A single matrix (the
   variance chain Q, whose nu t reaches 2e3) goes through the [13/13] Pade
   approximant with scaling and squaring (``_pade13``, numpy only); K
   tridiagonal generators (the M regime chains Lambda_l), given as their
   (3, K, n) diagonal planes, through a band uniformization series
-  (``_band_series``).
+  (``_band_series``), which returns a dense stack up to _BAND_STEP_BYTES and
+  a ``BandStack`` of band rows above.
 * ``expm_action`` gives exp(G t) w by uniformization, one Poisson series of
   about nu t + 7 sqrt(nu t) sparse products with nu = max |G_ii| (on the
   five-diagonal coupled generator, nu comes from the variance chain Q: 8524
   for rough-heston at M = 48).  Only this oracle loads ``scipy.sparse``, on
   its first call, so the fast route runs on numpy alone.
 
-Memory: the regime family never exists dense.  The one (K, n, n) array a
-price needs is the output stack exp(Lambda_l dt), and ``_band_series``
-allocates nothing else of that size: it sums the stack in chunks whose three
-band arrays take at most _CHUNK_BYTES (768 KiB; see there for the choice).
-A cold rough-heston price at N = M = 100 peaks at 10.0 MB of traced
-allocations, 8 MB of them the stack (19.1 MB when the family was a dense
-(M, N, N) stack and the series ran on the whole stack at once); at
-N = M = 200, 68 MB (141 MB).
+Memory: the regime family never exists dense, and neither does a regime
+stack of more than _BAND_STEP_BYTES (2 MiB, N = M >= 65), which comes back
+as band rows: only the regimes its series squares keep dense matrices.  Up
+to 2 MiB the dense (K, n, n) stack is the largest array of a price.
+``_band_series`` allocates nothing else of that size: it sums the stack in
+chunks whose three band arrays take at most _CHUNK_BYTES (768 KiB; see
+there for the choice).  Traced peaks of a cold rough-heston price: 3.4 MB at
+N = M = 60 (dense stack), 5.4 MB at 100 (band rows; 10.0 MB on the 8 MB
+dense stack, 19.1 MB when the family was a dense (M, N, N) stack too) and
+24 MB at 200 (68 MB, 141 MB).
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import GeneratorError, NumericalError
 
-__all__ = ["expm_dense", "expm_action"]
+__all__ = ["BandStack", "expm_dense", "expm_action"]
 
 # Poisson mass a band series leaves out of each row.  It is lost far from the
 # diagonal, where payoffs reach 1e4 (a call at the upper x-wall): at 1e-17,
@@ -37,14 +43,23 @@ _TAIL = 1e-20
 _LAM_CAP = 1.0     # band series run at nu t <= _LAM_CAP (at most 20 terms), then square
 _DENSE_CAP = 1024  # largest generator expm_dense makes dense
 # _band_series sums a regime stack in chunks whose three band arrays take at
-# most _CHUNK_BYTES, unless the dense output and the whole stack's band arrays
-# together fit in _ONE_PIECE_BYTES.  At N = M = 100 the output is 8 MB, and
-# 768 KiB chunks keep a cold price's traced peak near 10 MB.  Each extra chunk
-# costs about 0.4 ms of Python-level loop, which would slow the N <= 60 stacks
-# (output 0.5 to 1.7 MB) by up to a fifth; summed in one piece, they still
-# peak below a chunked N = M = 100 price.
+# most _CHUNK_BYTES.  A dense stack is summed in one piece when its output and
+# the whole stack's band arrays together fit in _ONE_PIECE_BYTES: each extra
+# chunk costs about 0.4 ms of Python-level loop, and chunked, the N = M = 60
+# stacks (output 1.7 MB) took 1.3 to 1.5 times as long.  Band rows are always
+# chunked: there the chunks' smaller working set made up for the loop (0.9 to
+# 1.1 times as long as one piece), and a cold price at N = M = 100 peaks at
+# 3.8 to 6.3 MB of traced allocations instead of up to 8.8 MB.
 _CHUNK_BYTES = 3 * 2**18
 _ONE_PIECE_BYTES = 8 * 2**20
+# A regime stack exp(Lambda_l dt) whose dense (K, n, n) form would take more
+# than _BAND_STEP_BYTES, the L2 cache of one core on the 2-core host measured,
+# is kept as band rows (``BandStack``): past it the dense stack streams from
+# L3 at every slice.  One slice's regime step, batched dense matvec against
+# the band rows' einsum: 47-83 us against 51-80 us at N = M = 60 (dense
+# 1.7 MB), 202-295 us against 84-134 us at N = M = 80 (4.1 MB) and 404-460 us
+# against 206-236 us at N = M = 100 (8 MB).
+_BAND_STEP_BYTES = 2 * 2**20
 _MAX_TERMS = 4_000_000  # largest nu t expm_action sums a series for
 # [13/13] Pade coefficients b_0 .. b_13, and the 1-norm up to which that
 # approximant is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
@@ -54,15 +69,17 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 
 
-def expm_dense(gen, t: float) -> np.ndarray:
-    """Dense transition matrix exp(G t) of a generator of size <= _DENSE_CAP.
+def expm_dense(gen, t: float) -> np.ndarray | BandStack:
+    """Transition matrices exp(G t) of a generator of size <= _DENSE_CAP.
 
     ``gen`` is one dense matrix, whose exponential is ``_pade13``'s, or the
     (3, K, n) diagonal planes of K tridiagonal generators (see
-    ``ctmc.tridiagonal_generator``), whose (K, n, n) exponentials are
-    ``_band_series``'s; a sparse matrix is refused (``expm_action`` takes it).
-    Rows are checked to sum to one (1e-10) and entries to be nonnegative up
-    to -1e-12; tiny negative round-off is clamped to zero after the check.
+    ``ctmc.tridiagonal_generator``), whose exponentials are ``_band_series``'s:
+    a dense (K, n, n) stack, or a ``BandStack`` when that stack would take
+    more than _BAND_STEP_BYTES; a sparse matrix is refused (``expm_action``
+    takes it).  Rows are checked to sum to one (1e-10) and entries to be
+    nonnegative up to -1e-12; tiny negative round-off is clamped to zero
+    after the check.
     """
     try:
         g = np.asarray(gen, dtype=float)
@@ -80,15 +97,24 @@ def expm_dense(gen, t: float) -> np.ndarray:
     if t < 0:
         raise NumericalError("t must be nonnegative")
     p = _pade13(g * t) if g.ndim == 2 else _band_series(g, t)
-    row_defect = np.abs(p.sum(axis=-1) - 1.0).max()
+    if isinstance(p, BandStack):
+        sums = p.rows.sum(axis=1).reshape(-1, n)
+        sums[p.squared] = p.dense.sum(axis=-1)
+        parts = p.padded, p.dense
+    else:
+        sums, parts = p.sum(axis=-1), (p,)
+    row_defect = np.abs(sums - 1.0).max()
     if row_defect > 1e-10:
         raise NumericalError(
             f"exp(Gt) rows deviate from stochasticity by {row_defect:.3e}; "
             "input is probably not a generator"
         )
-    if p.min() < -1e-12:
-        raise NumericalError(f"exp(Gt) has entries below -1e-12 ({p.min():.3e})")
-    return np.maximum(p, 0.0, out=p)
+    low = min(part.min(initial=0.0) for part in parts)
+    if low < -1e-12:
+        raise NumericalError(f"exp(Gt) has entries below -1e-12 ({low:.3e})")
+    for part in parts:
+        np.maximum(part, 0.0, out=part)
+    return p
 
 
 def _pade13(a: np.ndarray) -> np.ndarray:
@@ -134,18 +160,60 @@ def _series_length(lam: np.ndarray) -> np.ndarray:
     return np.argmax((ratio < 1.0) & (term <= _TAIL * (1.0 - ratio)), axis=1)
 
 
-def _band_series(g: np.ndarray, t: float) -> np.ndarray:
+class BandStack(NamedTuple):
+    """exp(G_k t) of K tridiagonal generators as band rows (see _BAND_STEP_BYTES).
+
+    ``padded`` is (W + K n + W, 2W + 1): W zero rows, then row k n + i of the
+    stack, holding entry (i, i + o) of matrix k at column W + o (zero where
+    i + o falls outside the matrix), then W zero rows.  The matrices of the
+    regimes in ``squared``, which the series squares, are the dense
+    (len(squared), n, n) ``dense``, and their band rows are zero.
+    """
+
+    padded: np.ndarray
+    squared: np.ndarray
+    dense: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (K n, 2W + 1) band rows, without the zero padding."""
+        w = self.padded.shape[1] // 2
+        return self.padded[w:self.padded.shape[0] - w]
+
+    @property
+    def mT(self) -> BandStack:
+        """The stack of transposed matrices, by an index flip of the rows.
+
+        Row p of the result holds at column W + o the entry of row p + o at
+        column W - o: the zero rows and the zero out-of-matrix entries make
+        the rows that cross into a neighbouring matrix read zeros.
+        """
+        w = self.padded.shape[1] // 2
+        end = self.padded.shape[0] - w
+        flipped = np.empty_like(self.padded)
+        flipped[:w] = flipped[end:] = 0.0
+        s0, s1 = self.padded.strides
+        flipped[w:end] = as_strided(self.padded[:, 2 * w:], shape=(end - w, 2 * w + 1),
+                                    strides=(s0, s0 - s1))
+        return BandStack(flipped, self.squared, self.dense.transpose(0, 2, 1))
+
+
+def _band_series(g: np.ndarray, t: float) -> np.ndarray | BandStack:
     """exp(G_k t) for K tridiagonal generators given as (3, K, n) diagonal planes.
 
     With nu = max |G_ii|, lam = nu t and P = I + G/nu (tridiagonal, >= 0):
     exp(G t) = sum_j e^(-lam) lam^j / j! P^j, every term nonnegative.  The
     stack, sorted by series length, is summed by ``_band_terms`` in chunks
-    (one piece when small: see _CHUNK_BYTES); each chunk's matrices of the
-    dense (K, n, n) output are then zeroed and given its diagonals.  A matrix
-    with lam > _LAM_CAP sums the series at t / 2^s and is then squared s
-    times.  Every matrix sees the same operations in any chunking.  The
-    output is allocated after the first chunk's band arrays (measured: a
-    stack summed in one piece then runs up to a fifth faster).
+    (one piece when small: see _CHUNK_BYTES).  A matrix with lam > _LAM_CAP
+    sums the series at t / 2^s and is then squared s times.  Every matrix
+    sees the same operations in any chunking.
+
+    A stack of at most _BAND_STEP_BYTES comes back dense, (K, n, n): each
+    chunk's matrices are zeroed and given their diagonals, and the output is
+    allocated after the first chunk's band arrays (measured: a stack summed
+    in one piece then runs up to a fifth faster).  A larger one comes back
+    as a ``BandStack``: each chunk's planes are copied into its band rows,
+    and only the squared matrices are written dense.
     """
     _, k, n = g.shape
     nu = np.abs(g[1]).max(axis=1)
@@ -154,8 +222,14 @@ def _band_series(g: np.ndarray, t: float) -> np.ndarray:
     length = _series_length(lam)
     order = np.argsort(-length, kind="stable")
     scale = 1.0 / np.where(nu > 0.0, nu, 1.0)
+    band = 8 * k * n * n > _BAND_STEP_BYTES
+    if band:
+        squared = np.flatnonzero(halvings > 0)
+        slot = np.zeros(k, int)
+        slot[squared] = np.arange(len(squared))               # position in the dense part
+        w = int(min(length[halvings == 0].max(initial=0), n - 1))
     band_bytes = 24 * n * (2 * np.minimum(length[order], n - 1) + 3)  # a chunk's, per matrix,
-    one_piece = (8 * n * n + band_bytes[0]) * k <= _ONE_PIECE_BYTES   # from its first (longest)
+    one_piece = not band and (8 * n * n + band_bytes[0]) * k <= _ONE_PIECE_BYTES  # from its first
     out = None
     start = 0
     while start < k:
@@ -168,26 +242,48 @@ def _band_series(g: np.ndarray, t: float) -> np.ndarray:
         p[1] = 1.0 + g[1, idx] * sc
         p[2, :, :-1] = g[2, idx, :-1] * sc
         total = _band_terms(p.reshape(3, -1), np.repeat(lam[idx], n), length[idx], n)
-        if out is None:
-            out = np.empty((k, n, n))
-            flat = out.reshape(k, n * n)                     # (i, i + o) at i (n + 1) + o
-
         c = total.shape[0] // 2
         total = total.reshape(-1, len(idx), n)
-        flat[idx] = 0.0
-        needs = np.count_nonzero(length[idx] >= np.arange(c)[:, None], axis=1).tolist()
-        for o in range(1 - c, c):                            # diagonal o: nonzero where length >= |o|
-            a = needs[abs(o)]
-            rows = slice(max(-o, 0), n - max(o, 0))
-            first = max(-o, 0) * n + max(o, 0)
-            flat[idx[:a], first:first + (n - abs(o) - 1) * (n + 1) + 1:n + 1] = total[c + o, :a, rows]
+        sq = halvings[idx] > 0
+        if band:
+            if out is None:
+                out = BandStack(np.zeros((k * n + 2 * w, 2 * w + 1)), squared,
+                                np.empty((len(squared), n, n)))
+                rows, mats = out.rows.reshape(k, n, 2 * w + 1), out.dense
+            v = min(c - 1, w)                                # plane c + o is column w + o
+            rows[idx[~sq], :, w - v:w + v + 1] = total[c - v:c + v + 1, ~sq].transpose(1, 2, 0)
+            squares = slot[idx[sq]]
+            if len(squares):
+                _scatter(mats.reshape(-1, n * n), squares, total[:, sq], length[idx[sq]], n)
+        else:
+            if out is None:
+                out = mats = np.empty((k, n, n))
+            squares = idx[sq]
+            _scatter(out.reshape(k, n * n), idx, total, length[idx], n)
         del total, p                                         # before the next chunk's arrays
-        for i in idx[halvings[idx] > 0]:                     # squared one by one: no stack copies
-            x = out[i]
-            for _ in range(halvings[i]):
+        for i, s in zip(squares, halvings[idx[sq]]):         # squared one by one: no stack copies
+            x = mats[i]
+            for _ in range(s):
                 x = x @ x
-            out[i] = x
+            mats[i] = x
     return out
+
+
+def _scatter(flat: np.ndarray, targets: np.ndarray, total: np.ndarray, length: np.ndarray,
+             n: int) -> None:
+    """Write band planes into dense matrices: rows ``targets`` of ``flat`` (one n n row each).
+
+    ``total`` is (2c + 1, len(targets), n) from ``_band_terms``, of matrices in
+    decreasing ``length``; each target is zeroed, then given its diagonals.
+    """
+    c = total.shape[0] // 2
+    flat[targets] = 0.0
+    needs = np.count_nonzero(length >= np.arange(c)[:, None], axis=1).tolist()
+    for o in range(1 - c, c):                                # diagonal o: nonzero where length >= |o|
+        a = needs[abs(o)]
+        rows = slice(max(-o, 0), n - max(o, 0))
+        first = max(-o, 0) * n + max(o, 0)                   # (i, i + o) at i (n + 1) + o
+        flat[targets[:a], first:first + (n - abs(o) - 1) * (n + 1) + 1:n + 1] = total[c + o, :a, rows]
 
 
 def _band_terms(p: np.ndarray, lam: np.ndarray, length: np.ndarray, n: int) -> np.ndarray:
@@ -208,13 +304,16 @@ def _band_terms(p: np.ndarray, lam: np.ndarray, length: np.ndarray, n: int) -> n
     term[c] = np.exp(-lam)
     total[c] = term[c]
     rows = n * np.count_nonzero(length >= np.arange(1, top + 1)[:, None], axis=1)
+    sizes = (2 * np.minimum(np.arange(1, top + 1), w_cap) + 1) * (rows - 1)
+    shifted = np.empty(sizes.max(initial=0))                 # each step's shifted products
     for j, a in enumerate(rows.tolist(), 1):
         w = min(j, w_cap)
         pf = p[:, :a] * (lam[:a] / j)                        # the three diagonals of P lam / j
         band = slice(c - w, c + w + 1)
         new = np.multiply(pf[1], term[band, :a], out=nxt[band, :a])
-        new[:, 1:] += pf[0, 1:] * term[c - w + 1:c + w + 2, :a - 1]
-        new[:, :-1] += pf[2, :-1] * term[c - w - 1:c + w, 1:a]
+        prod = shifted[:(2 * w + 1) * (a - 1)].reshape(2 * w + 1, a - 1)
+        new[:, 1:] += np.multiply(pf[0, 1:], term[c - w + 1:c + w + 2, :a - 1], out=prod)
+        new[:, :-1] += np.multiply(pf[2, :-1], term[c - w - 1:c + w, 1:a], out=prod)
         total[band, :a] += new
         term, nxt = nxt, term
     return total

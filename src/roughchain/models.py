@@ -76,6 +76,8 @@ class MarketParams:
                 raise ParameterError(f"{name} must be a number") from None
         if not 0.0 < self.s0 < np.inf:
             raise ParameterError(f"s0 must be finite and positive, got {self.s0}")
+        if not np.isfinite(self.v0):
+            raise ParameterError(f"v0 must be finite, got {self.v0}")
         if not abs(self.rho) < 1:
             raise ParameterError(f"rho must lie in (-1, 1), got {self.rho}")
 
@@ -141,6 +143,8 @@ def _validated(name: str, params: dict) -> dict:
             p[k] = float(params[k])
         except (TypeError, ValueError):
             raise ParameterError(f"{name}: parameter {k} must be a number") from None
+        if not np.isfinite(p[k]):
+            raise ParameterError(f"{name}: parameter {k} must be finite, got {p[k]}")
     for what, holds in checks:
         if not holds(p):
             raise ParameterError(f"{name}: parameter domain violated: {what}")

@@ -4,7 +4,7 @@
   two decoupled factor semigroups (one M x M transition matrix plus M N x N
   ones), so it never forms the big generator.  Its step operators are
   exp(Q dt/2) by one Pade, exp(Q dt) as that matrix's square, and the
-  regime stack exp(Lambda_l dt) by one band series: numpy alone;
+  regime step exp(Lambda_l dt) by one band series: numpy alone;
 * ``price_european_coupled``, the oracle, applies the exact exp(coupled t)
   by uniformization, on the sparse coupled generator (``scipy.sparse``,
   loaded on its first use).
@@ -23,12 +23,17 @@ slice count, max(48, ceil(16 sqrt(nu_Lambda T))) capped at 4096
 per date, one date for the law.  ``price_bermudan`` is the fast route for
 an option that must carry dates.
 
-Memory: the one O(M N^2) array of a price is the dense regime stack
-exp(Lambda_l dt) its slices read (8 MB at N = M = 100), kept once per slice
-length by backward induction and dropped after a law's pass.  The regime
-family is (3, M, N) diagonal planes, and ``matexp.expm_dense`` sums the
-stack in chunks of bounded size (``matexp._CHUNK_BYTES``), so a cold price
-at N = M = 100 peaks at about 10 MB.
+Memory: the largest array of a price is the regime step exp(Lambda_l dt)
+its slices read, kept once per slice length by backward induction and
+dropped after a law's pass.  Its form is ``matexp.expm_dense``'s rule: the
+dense (M, N, N) stack while that takes at most 2 MiB (the L2 cache of one
+core; N = M <= 64), stepped by one batched matvec; above, (M N, 2W + 1)
+band rows, stepped by one einsum (``_regime_step``), with the few regimes
+whose series is squared kept dense.  A price's diagnostics name the step
+(``regime_step``) and its row width.  The regime family is (3, M, N)
+diagonal planes, summed in chunks of bounded size (``matexp._CHUNK_BYTES``),
+so a cold rough-heston price peaks at about 3.4 MB at N = M = 60 and 5.4 MB
+at 100 (10 MB on the 8 MB dense stack).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 
 from .ctmc import GeneratorSet, validate_generator  # noqa: F401 (perfbench traces it here)
 from .errors import DomainError, ParameterError
-from .matexp import expm_action, expm_dense
+from .matexp import BandStack, expm_action, expm_dense
 
 _TOL = 1e-10  # absolute truncation error of a coupled price's uniformization series
 _MIN_SLICES = 48  # floor of the fast route's Strang slice count over T
@@ -150,16 +155,19 @@ def _auto_slices(gens: GeneratorSet, t: float) -> int:
     return int(min(max(_MIN_SLICES, np.ceil(16.0 * np.sqrt(max(gens.nu_lambda * t, 0.0)))), 4096))
 
 
-def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: bool = False):
+def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: bool = False,
+               diag: dict | None = None):
     """Advance the (M, N) value array w by time t under the chain.
 
     With ``forward``, w is a law and the transposed semigroup acts.  With an
     int ``n_slices``: the Strang product PQh (PL PQ)^(n-1) PL PQh over n
     slices of dt = t/n, from the step operators of dt, cached as the module
-    docstring says.  With None: the exact action exp(coupled t) w by
-    uniformization, whose series stops at _TOL; a law's series stops where
-    the omitted mass times max |s| is at most _TOL, so the price of any call,
-    and of any put with K <= max |s|, is within _TOL of the exact law's.
+    docstring says; ``diag``, if given, receives the regime step's kind and
+    the width of the rows it reads (N dense, 2W + 1 on band rows).  With
+    None: the exact action exp(coupled t) w by uniformization, whose series
+    stops at _TOL; a law's series stops where the omitted mass times max |s|
+    is at most _TOL, so the price of any call, and of any put with
+    K <= max |s|, is within _TOL of the exact law's.
     """
     if n_slices is None:
         gen, tol = gens.coupled, _TOL
@@ -174,36 +182,62 @@ def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: b
         if not forward:
             gens._cache["steps", dt] = ops
     pq_half, pq_full, p_lams = ops
+    band = isinstance(p_lams, BandStack)
     if forward:
-        pq_half, pq_full, p_lams = pq_half.T, pq_full.T, p_lams.transpose(0, 2, 1)
+        pq_half, pq_full = pq_half.T, pq_full.T
+        p_lams = p_lams.mT if band else p_lams.transpose(0, 2, 1)
+    if diag is not None:
+        diag.update(regime_step="band" if band else "dense",
+                    regime_row_width=p_lams.padded.shape[1] if band else gens.n)
     # [PQh PL PQh]^n collapsed: adjacent half-steps merge into full steps
     w = pq_half @ w
     for _ in range(n_slices - 1):
-        w = np.matmul(p_lams, w[:, :, None])[:, :, 0]
-        w = pq_full @ w
-    w = np.matmul(p_lams, w[:, :, None])[:, :, 0]
-    return pq_half @ w
+        w = pq_full @ _regime_step(p_lams, w)
+    return pq_half @ _regime_step(p_lams, w)
+
+
+def _regime_step(p_lams, w: np.ndarray) -> np.ndarray:
+    """P_L w for one slice, on an (M, N) array.
+
+    A dense (M, N, N) stack steps by one batched matvec.  A ``BandStack``
+    steps by one einsum of its (M N, 2W + 1) rows against the sliding
+    windows of the zero-padded flat state, then one batched matvec that
+    overwrites the rows of its squared regimes.
+    """
+    if isinstance(p_lams, np.ndarray):
+        return np.matmul(p_lams, w[:, :, None])[:, :, 0]
+    rows, squared = p_lams.rows, p_lams.squared
+    half = rows.shape[1] // 2
+    state = np.zeros(w.size + 2 * half)         # the flat state, W zeros on each side
+    state[half:half + w.size] = w.ravel()
+    windows = np.ndarray(rows.shape, buffer=state, strides=state.strides * 2)  # state[p:p + 2W + 1]
+    out = np.einsum("pk,pk->p", rows, windows).reshape(w.shape)
+    if len(squared):
+        out[squared] = np.matmul(p_lams.dense, w[squared, :, None])[:, :, 0]
+    return out
 
 
 def _terminal(gens: GeneratorSet, t: float, n_slices: int | None):
     """Law p_T at t of the chain started at the anchor, and its diagnostics.
 
     One forward ``_propagate``, cached on ``gens`` under ("law", n_slices, t).
-    Diagnostics: the forward defect p_T . s - s0 e^{(r-q)t} and the mass on
-    each truncation wall.
+    Diagnostics: the forward defect p_T . s - s0 e^{(r-q)t}, the mass on
+    each truncation wall and, on the fast route, the regime step.
     """
     key = ("law", n_slices, t)
     hit = key in gens._cache
     if not hit:
         p = np.zeros((gens.m, gens.n))
         p[gens.anchor_indices] = 1.0
-        p = _propagate(gens, p, t, n_slices, forward=True)
+        regime = {}
+        p = _propagate(gens, p, t, n_slices, forward=True, diag=regime)
         r, q = gens.model.rates
         walls = {"v_low": p[0], "v_high": p[-1], "x_low": p[:, 0], "x_high": p[:, -1]}
         gens._cache[key] = (p, {
             "forward_defect": float(np.vdot(p, gens.asset_states)
                                     - gens.market.s0 * np.exp((r - q) * t)),
             "wall_mass": {wall: float(mass.sum()) for wall, mass in walls.items()},
+            **regime,
         })
     p, diag = gens._cache[key]
     return p, dict(diag, terminal_cache_hit=hit)
@@ -218,10 +252,10 @@ def _price(option: OptionSpec, gens: GeneratorSet, method: str) -> PriceResult:
     disc = np.exp(-_rate(option, gens.model) * dt)
     pay = payoff_vector(option, gens)
     if option.bermudan_dates:
-        w = pay
-        for _ in range(dates):
-            w = np.maximum(disc * _propagate(gens, w, dt, n), pay)
-        price, extra = w[gens.anchor_indices], {"bermudan_dates": dates}
+        w, extra = pay, {"bermudan_dates": dates}
+        for date in range(dates):  # every date runs the same step
+            w = np.maximum(disc * _propagate(gens, w, dt, n, diag=None if date else extra), pay)
+        price = w[gens.anchor_indices]
     else:
         p, extra = _terminal(gens, t, n)
         price = disc * np.vdot(p, pay)

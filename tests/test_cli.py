@@ -78,6 +78,18 @@ class TestPriceCommand:
         assert all(type(m) is float for m in diag["wall_mass"].values())
         assert diag["terminal_cache_hit"] is False
 
+    @pytest.mark.parametrize("size, step", [(20, "dense"), (80, "band")])
+    def test_says_which_regime_step_ran(self, tmp_path, size, step):
+        # a regime stack over 2 MiB (N = M = 80: 4.1 MB dense) steps on band rows
+        for dates in ([], ["numerics.bermudan_dates=3"]):
+            code, out = _run("price", tmp_path, overrides=[
+                f"numerics.n_x={size}", f"numerics.m_v={size}", *dates])
+            assert code == 0
+            diag = json.loads(out)["diagnostics"]
+            assert diag["regime_step"] == step
+            width = diag["regime_row_width"]
+            assert width == size if step == "dense" else width % 2 == 1 and width < size
+
     def test_coupled_method(self, tmp_path):
         code, out = _run(
             "price", tmp_path, config=SMALL, overrides=["numerics.method=coupled"]
@@ -122,6 +134,10 @@ class TestPriceCommand:
         "option.maturity=Infinity",
         "kernel.eps=Infinity",
         "market.s0=Infinity",
+        "market.v0=Infinity",
+        "model.params.sigma=Infinity",
+        "model.params.q=Infinity",
+        "model.params.r=NaN",
     ])
     def test_malformed_value_exit_code(self, tmp_path, override):
         code, _ = _run("price", tmp_path, config=SMALL, overrides=[override])

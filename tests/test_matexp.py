@@ -7,7 +7,7 @@ from roughchain import (MODEL_NAMES, GeneratorError, NumericalError, assemble, e
                         expm_dense, matexp, pricing)
 from roughchain.ctmc import tridiagonal_generator
 from roughchain.grids import Grid
-from roughchain.matexp import _LAM_CAP, _TAIL, _series_length
+from roughchain.matexp import _LAM_CAP, _TAIL, BandStack, _series_length
 
 from conftest import dense, random_generator
 
@@ -141,6 +141,64 @@ class TestBandStack:
             ratios = np.cumprod(lam / i)   # term_i / term_j
             term_j = np.exp(-lam) * np.prod(lam / np.arange(1, j + 1))
             assert term_j * ratios.sum() <= _TAIL
+
+
+def _expand(stack, n):
+    """Dense (K, n, n) matrices of a BandStack; its out-of-matrix entries must be zero."""
+    w = stack.rows.shape[1] // 2
+    rows = stack.rows.reshape(-1, n, 2 * w + 1)
+    out = np.zeros((rows.shape[0], n, n + 2 * w))
+    i = np.arange(n)
+    for o in range(-w, w + 1):
+        out[:, i, i + o + w] = rows[:, :, w + o]
+    assert not out[:, :, :w].any() and not out[:, :, n + w:].any()
+    out = out[:, :, w:n + w]
+    out[stack.squared] = stack.dense
+    return out
+
+
+class TestBandRows:
+    """The band-row form of a regime stack over _BAND_STEP_BYTES (forced on small stacks)."""
+
+    def test_size_rule(self):
+        # dense up to 2 MiB (K n^2 8 B), band rows above
+        assert isinstance(expm_dense(_tridiagonal_stack(64, 64, seed=17), 0.1), np.ndarray)
+        assert isinstance(expm_dense(_tridiagonal_stack(65, 64, seed=17), 0.1), BandStack)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_rows_hold_the_dense_stack(self, name, all_models, market, kernel, monkeypatch):
+        # the same numbers bit for bit, transposed by the index flip; only
+        # rough-42's stiff regime is squared, and kept dense
+        gens = assemble(all_models[name], market, kernel, n=24, m=24)
+        dt = 1.0 / pricing._auto_slices(gens, 1.0)
+        want = expm_dense(gens.lambdas, dt)
+        monkeypatch.setattr(matexp, "_BAND_STEP_BYTES", 0)
+        got = expm_dense(gens.lambdas, dt)
+        assert isinstance(got, BandStack)
+        assert np.array_equal(_expand(got, 24), want)
+        assert np.array_equal(_expand(got.mT, 24), want.transpose(0, 2, 1))
+        assert list(got.squared) == ([0] if name == "rough-42" else [])
+        assert got.rows.shape[1] < 2 * 24 - 1
+
+    @pytest.mark.parametrize("chunk_bytes, one_piece_bytes", [
+        (1, 0), (64 * 1024, 0), (matexp._CHUNK_BYTES, 2**40)])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_chunking_changes_no_digit(self, name, chunk_bytes, one_piece_bytes, all_models,
+                                       market, kernel, monkeypatch):
+        gens = assemble(all_models[name], market, kernel, n=24, m=24)
+        dt = 1.0 / pricing._auto_slices(gens, 1.0)
+        alone = np.stack([expm_dense(gens.lambdas[:, [l]], dt)[0] for l in range(gens.m)])
+        monkeypatch.setattr(matexp, "_BAND_STEP_BYTES", 0)
+        monkeypatch.setattr(matexp, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(matexp, "_ONE_PIECE_BYTES", one_piece_bytes)
+        assert np.array_equal(_expand(expm_dense(gens.lambdas, dt), 24), alone)
+
+    def test_non_generator_rejected(self, monkeypatch):
+        monkeypatch.setattr(matexp, "_BAND_STEP_BYTES", 0)
+        stack = _tridiagonal_stack(4, 8, seed=14)
+        stack[1, 2, 3] -= 0.7  # row 3 of member 2 loses rate: its rows no longer sum to 0
+        with pytest.raises(NumericalError, match="stochastic"):
+            expm_dense(stack, 0.5)
 
 
 class TestAction:

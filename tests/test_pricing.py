@@ -11,6 +11,7 @@ from roughchain import (
     ParameterError,
     assemble,
     make_model,
+    matexp,
     mc_price,
     payoff_vector,
     price_bermudan,
@@ -211,6 +212,34 @@ class TestTerminalLaw:
         res = price_fast(OptionSpec("call", 0.0, t), gens)
         want = np.exp(r * t) * res.price - market.s0 * np.exp((r - q) * t)
         assert abs(res.diagnostics["forward_defect"] - want) <= 1e-12
+
+
+class TestRegimeStep:
+    """Band rows against the dense regime stack, on the same system.
+
+    At N = M = 80 the dense stack would take 4.1 MB, over the 2 MiB rule, so
+    the slice loop steps on band rows; raising the rule forces the dense
+    step.  The entries are the same numbers, so the prices differ only in the
+    order each row's products are summed.  rough-42's lowest-variance regime
+    is squared, so its dense rows overwrite the band step's, forwards (the
+    law) and backwards (the Bermudan).
+    """
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_band_step_matches_dense_step(self, name, all_models, market, kernel, monkeypatch):
+        options = (CALL, OptionSpec("put", 10.0, 1.0, bermudan_dates=6))
+        prices = {}
+        for step in ("band", "dense"):
+            if step == "dense":
+                monkeypatch.setattr(matexp, "_BAND_STEP_BYTES", 2**40)
+            gens = assemble(all_models[name], market, kernel, n=80, m=80)
+            for option in options:
+                result = price_fast(option, gens)
+                assert result.diagnostics["regime_step"] == step
+                prices[step, option] = result.price
+        for option in options:
+            band, dense = prices["band", option], prices["dense", option]
+            assert abs(band - dense) <= 1e-14 * abs(dense), (option, band, dense)
 
 
 class TestCache:
