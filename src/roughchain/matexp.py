@@ -19,10 +19,9 @@ as band rows: only the regimes its series squares keep dense matrices.  Up
 to 2 MiB the dense (K, n, n) stack is the largest array of a price.
 ``_band_series`` allocates nothing else of that size: it sums the stack in
 chunks whose three band arrays take at most _CHUNK_BYTES (768 KiB; see
-there for the choice).  Traced peaks of a cold rough-heston price: 3.4 MB at
-N = M = 60 (dense stack), 5.4 MB at 100 (band rows; 10.0 MB on the 8 MB
-dense stack, 19.1 MB when the family was a dense (M, N, N) stack too) and
-24 MB at 200 (68 MB, 141 MB).
+there for the choice).  Traced peaks of a cold rough-heston price: 3.0 MB at
+N = M = 60 (dense stack), 5.3 MB at 100 and 24 MB at 200 (band rows; on the
+dense stack 10.0 and 68 MB).
 """
 
 from __future__ import annotations
@@ -45,11 +44,10 @@ _DENSE_CAP = 1024  # largest generator expm_dense makes dense
 # _band_series sums a regime stack in chunks whose three band arrays take at
 # most _CHUNK_BYTES.  A dense stack is summed in one piece when its output and
 # the whole stack's band arrays together fit in _ONE_PIECE_BYTES: each extra
-# chunk costs about 0.4 ms of Python-level loop, and chunked, the N = M = 60
-# stacks (output 1.7 MB) took 1.3 to 1.5 times as long.  Band rows are always
-# chunked: there the chunks' smaller working set made up for the loop (0.9 to
-# 1.1 times as long as one piece), and a cold price at N = M = 100 peaks at
-# 3.8 to 6.3 MB of traced allocations instead of up to 8.8 MB.
+# chunk costs 0.2 to 0.4 ms, and chunked, the N = M = 60 stacks (output 1.7 MB)
+# took 1.1 to 1.3 times as long.  Band rows are always chunked, at 1.0 to 1.2
+# times the time of one piece, so that a cold price at N = M = 100 peaks at 3.7
+# to 6.3 MB of traced allocations instead of 6.2 to 11.9 MB.
 _CHUNK_BYTES = 3 * 2**18
 _ONE_PIECE_BYTES = 8 * 2**20
 # A regime stack exp(Lambda_l dt) whose dense (K, n, n) form would take more
@@ -91,9 +89,10 @@ def expm_dense(gen, t: float) -> np.ndarray | BandStack:
         raise GeneratorError(
             f"expected a square matrix or (3, K, n) diagonal planes, got shape {g.shape}")
     if n > _DENSE_CAP:
-        raise NumericalError(
-            f"dense exponential of size {n} exceeds cap {_DENSE_CAP}; use expm_action"
-        )
+        chain, key = ("variance chain Q has M", "m_v") if g.ndim == 2 else ("regime family has N", "n_x")
+        raise NumericalError(f"the {chain} = {n} states, above the dense cap {_DENSE_CAP}: price "
+                             f"on a smaller grid (numerics.{key} <= {_DENSE_CAP}) or with "
+                             "numerics.method=coupled")
     if t < 0:
         raise NumericalError("t must be nonnegative")
     p = _pade13(g * t) if g.ndim == 2 else _band_series(g, t)
@@ -112,8 +111,9 @@ def expm_dense(gen, t: float) -> np.ndarray | BandStack:
     low = min(part.min(initial=0.0) for part in parts)
     if low < -1e-12:
         raise NumericalError(f"exp(Gt) has entries below -1e-12 ({low:.3e})")
-    for part in parts:
-        np.maximum(part, 0.0, out=part)
+    if low < 0.0:  # only a Pade rounds below zero: band series terms are nonnegative
+        for part in parts:
+            np.maximum(part, 0.0, out=part)
     return p
 
 
@@ -251,7 +251,8 @@ def _band_series(g: np.ndarray, t: float) -> np.ndarray | BandStack:
                                 np.empty((len(squared), n, n)))
                 rows, mats = out.rows.reshape(k, n, 2 * w + 1), out.dense
             v = min(c - 1, w)                                # plane c + o is column w + o
-            rows[idx[~sq], :, w - v:w + v + 1] = total[c - v:c + v + 1, ~sq].transpose(1, 2, 0)
+            keep = ~sq if sq.any() else slice(None)          # a mask would copy the planes
+            rows[idx[keep], :, w - v:w + v + 1] = total[c - v:c + v + 1, keep].transpose(1, 2, 0)
             squares = slot[idx[sq]]
             if len(squares):
                 _scatter(mats.reshape(-1, n * n), squares, total[:, sq], length[idx[sq]], n)
@@ -289,12 +290,13 @@ def _scatter(flat: np.ndarray, targets: np.ndarray, total: np.ndarray, length: n
 def _band_terms(p: np.ndarray, lam: np.ndarray, length: np.ndarray, n: int) -> np.ndarray:
     """Diagonals of sum_{j <= length} e^(-lam) lam^j / j! P^j, shape (2W + 3, K n).
 
-    ``p`` holds the three diagonals of the K matrices P, rows end to end
-    (P[i, i - 1] is zero on a first row and P[i, i + 1] on a last one, so a
-    row shift across two matrices adds nothing); ``lam`` is per row and
-    ``length`` per matrix, in decreasing order.  Term j has bandwidth j
-    (capped at W = n - 1), so plane c + o (c = W + 1) holds the entries
-    (i, i + o); step j updates the prefix of matrices that still need term j.
+    ``p`` holds the three diagonals of the K matrices P, rows end to end;
+    ``lam`` is per row and ``length`` per matrix, in decreasing order.  Term
+    j has bandwidth j (capped at W = n - 1), so plane c + o (c = W + 1)
+    holds the entries (i, i + o).  Step j forms term j on the prefix of
+    matrices that still need it, as ((lower + diagonal) + upper) products
+    over three shifted views of term j - 1; a read across two matrices or
+    past the prefix meets a zero P[i, i - 1] (first row) or P[i, i + 1] (last).
     """
     top = int(length[0])
     w_cap = min(top, n - 1)
@@ -304,17 +306,15 @@ def _band_terms(p: np.ndarray, lam: np.ndarray, length: np.ndarray, n: int) -> n
     term[c] = np.exp(-lam)
     total[c] = term[c]
     rows = n * np.count_nonzero(length >= np.arange(1, top + 1)[:, None], axis=1)
-    sizes = (2 * np.minimum(np.arange(1, top + 1), w_cap) + 1) * (rows - 1)
-    shifted = np.empty(sizes.max(initial=0))                 # each step's shifted products
+    r, step = p.shape[1], total.strides[1]
     for j, a in enumerate(rows.tolist(), 1):
         w = min(j, w_cap)
         pf = p[:, :a] * (lam[:a] / j)                        # the three diagonals of P lam / j
         band = slice(c - w, c + w + 1)
-        new = np.multiply(pf[1], term[band, :a], out=nxt[band, :a])
-        prod = shifted[:(2 * w + 1) * (a - 1)].reshape(2 * w + 1, a - 1)
-        new[:, 1:] += np.multiply(pf[0, 1:], term[c - w + 1:c + w + 2, :a - 1], out=prod)
-        new[:, :-1] += np.multiply(pf[2, :-1], term[c - w - 1:c + w, 1:a], out=prod)
-        total[band, :a] += new
+        # term[o + 1, q - 1], term[o, q] and term[o - 1, q + 1]; planes c -+ (w + 1) exist
+        views = as_strided(term.reshape(-1)[(c - w) * r + r - 1:], shape=(3, 2 * w + 1, a),
+                           strides=((1 - r) * step, r * step, step))
+        total[band, :a] += np.einsum("sq,soq->oq", pf, views, out=nxt[band, :a])
         term, nxt = nxt, term
     return total
 

@@ -32,7 +32,7 @@ band rows, stepped by one einsum (``_regime_step``), with the few regimes
 whose series is squared kept dense.  A price's diagnostics name the step
 (``regime_step``) and its row width.  The regime family is (3, M, N)
 diagonal planes, summed in chunks of bounded size (``matexp._CHUNK_BYTES``),
-so a cold rough-heston price peaks at about 3.4 MB at N = M = 60 and 5.4 MB
+so a cold rough-heston price peaks at about 3.0 MB at N = M = 60 and 5.3 MB
 at 100 (10 MB on the 8 MB dense stack).
 """
 

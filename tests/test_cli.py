@@ -143,6 +143,20 @@ class TestPriceCommand:
         code, _ = _run("price", tmp_path, config=SMALL, overrides=[override])
         assert code == 2
 
+    @pytest.mark.parametrize("n_x, m_v, chain", [
+        (1100, 8, "regime family has N = 1100 states"),
+        (8, 1100, "variance chain Q has M = 1100 states"),
+    ])
+    def test_oversized_chain_says_how_to_price_it(self, tmp_path, capsys, n_x, m_v, chain):
+        # the fast route refuses a chain over the dense cap, naming the chain,
+        # its grid key and the route that prices it
+        code, out = _run("price", tmp_path, overrides=[f"numerics.n_x={n_x}",
+                                                       f"numerics.m_v={m_v}"])
+        err = capsys.readouterr().err
+        assert code == 3 and out == ""
+        key = "numerics.n_x" if n_x > m_v else "numerics.m_v"
+        assert chain in err and f"{key} <= 1024" in err and "numerics.method=coupled" in err
+
     def test_unknown_formulation_exit_code(self, tmp_path, capsys):
         # the chain is built on the model itself; a config that still picks a
         # formulation is refused, naming the key

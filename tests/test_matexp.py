@@ -38,6 +38,23 @@ class TestDense:
         with pytest.raises(NumericalError, match="cap"):
             expm_dense(np.zeros((1025, 1025)), 1.0)
 
+    @pytest.mark.parametrize("shape, chain", [
+        ((1025, 1025), "variance chain Q has M = 1025 states"),
+        ((3, 2, 1025), "regime family has N = 1025 states"),
+    ])
+    def test_size_cap_names_the_chain(self, shape, chain):
+        with pytest.raises(NumericalError, match="cap 1024") as err:
+            expm_dense(np.zeros(shape), 1.0)
+        assert chain in str(err.value) and "numerics.method=coupled" in str(err.value)
+
+    def test_pade_round_off_is_clamped(self, monkeypatch):
+        # a Pade entry of -1e-17 passes the sign check and comes back as +0
+        r = np.array([[1.0, -1e-17, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+        monkeypatch.setattr(matexp, "_pade13", lambda a: r.copy())
+        got = expm_dense(random_generator(3, seed=18), 0.4)
+        assert got[0, 1] == 0.0 and not np.signbit(got).any()
+        assert np.array_equal(got, np.maximum(r, 0.0))
+
     def test_non_generator_rejected(self):
         a = np.array([[0.5, 0.2], [0.1, -0.3]])  # rows do not sum to zero
         with pytest.raises(NumericalError, match="stochastic"):
@@ -199,6 +216,84 @@ class TestBandRows:
         stack[1, 2, 3] -= 0.7  # row 3 of member 2 loses rate: its rows no longer sum to 0
         with pytest.raises(NumericalError, match="stochastic"):
             expm_dense(stack, 0.5)
+
+
+def _band_terms_reference(p, lam, length, n):
+    """``_band_terms`` as three products per term through a scratch buffer: its sums, bit for bit."""
+    top = int(length[0])
+    w_cap = min(top, n - 1)
+    c = w_cap + 1
+    total = np.zeros((2 * c + 1, p.shape[1]))
+    term, nxt = np.zeros(total.shape), np.zeros(total.shape)
+    term[c] = np.exp(-lam)
+    total[c] = term[c]
+    rows = n * np.count_nonzero(length >= np.arange(1, top + 1)[:, None], axis=1)
+    sizes = (2 * np.minimum(np.arange(1, top + 1), w_cap) + 1) * (rows - 1)
+    shifted = np.empty(sizes.max(initial=0))
+    for j, a in enumerate(rows.tolist(), 1):
+        w = min(j, w_cap)
+        pf = p[:, :a] * (lam[:a] / j)
+        band = slice(c - w, c + w + 1)
+        new = np.multiply(pf[1], term[band, :a], out=nxt[band, :a])
+        prod = shifted[:(2 * w + 1) * (a - 1)].reshape(2 * w + 1, a - 1)
+        new[:, 1:] += np.multiply(pf[0, 1:], term[c - w + 1:c + w + 2, :a - 1], out=prod)
+        new[:, :-1] += np.multiply(pf[2, :-1], term[c - w - 1:c + w, 1:a], out=prod)
+        total[band, :a] += new
+        term, nxt = nxt, term
+    return total
+
+
+class TestBandTerms:
+    """The fused series step against the three-product loop, over the inputs expm_dense gives it."""
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        # (matrices, longest series) of every chunk, each checked against the reference
+        seen = []
+        fused = matexp._band_terms
+
+        def checked(p, lam, length, n):
+            got = fused(p, lam, length, n)
+            assert np.array_equal(got, _band_terms_reference(p, lam, length, n))
+            seen.append((len(length), int(length[0])))
+            return got
+
+        monkeypatch.setattr(matexp, "_band_terms", checked)
+        return seen
+
+    @pytest.mark.parametrize("one_piece", [True, False])
+    @pytest.mark.parametrize("size", [24, 80])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_families(self, name, size, one_piece, chunks, all_models, market, kernel,
+                      monkeypatch):
+        gens = assemble(all_models[name], market, kernel, n=size, m=size)
+        dt = 1.0 / pricing._auto_slices(gens, 1.0)
+        if one_piece:
+            monkeypatch.setattr(matexp, "_BAND_STEP_BYTES", 2**40)
+            monkeypatch.setattr(matexp, "_ONE_PIECE_BYTES", 2**40)
+        else:
+            monkeypatch.setattr(matexp, "_CHUNK_BYTES", 64 * 1024)
+            monkeypatch.setattr(matexp, "_ONE_PIECE_BYTES", 0)
+        expm_dense(gens.lambdas, dt)
+        assert (len(chunks) == 1) == one_piece
+
+    @pytest.mark.parametrize("band_step_bytes", [2**40, 0])
+    def test_chunk_with_a_squared_regime(self, band_step_bytes, chunks, monkeypatch):
+        # the stiff member's series runs at t / 2^s beside two that are not squared
+        stack = _tridiagonal_stack(3, 12, seed=12)
+        stack[:, 1] *= 40.0
+        monkeypatch.setattr(matexp, "_BAND_STEP_BYTES", band_step_bytes)
+        got = expm_dense(stack, 30.0 / np.abs(stack[1, 1]).max())
+        assert [k for k, _ in chunks] == [3]
+        if band_step_bytes == 0:  # the squared member's band rows stay zero
+            assert list(got.squared) == [1] and not got.rows.reshape(3, 12, -1)[1].any()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_width_capped_at_n_minus_one(self, n, chunks):
+        # at nu t = _LAM_CAP the series runs past term n - 1, whose band is the whole matrix
+        stack = _tridiagonal_stack(4, n, seed=19 + n)
+        expm_dense(stack, _LAM_CAP / np.abs(stack[1]).max())
+        assert chunks and all(top > n - 1 for _, top in chunks)
 
 
 class TestAction:
