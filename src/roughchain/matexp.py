@@ -5,8 +5,8 @@
   approximant with scaling and squaring (``_pade13``, numpy only); K
   tridiagonal generators (the M regime chains Lambda_l), given as their
   (3, K, n) diagonal planes, through a band uniformization series
-  (``_band_series``), which returns a dense stack up to _BAND_STEP_BYTES and
-  a ``BandStack`` of band rows above.
+  (``_band_series``), which returns a ``RegimeStack``: every matrix dense up
+  to _BAND_STEP_BYTES, above it band rows but for the squared regimes.
 * ``expm_action`` gives exp(G t) w by uniformization, one Poisson series of
   about nu t + 7 sqrt(nu t) sparse products with nu = max |G_ii| (on the
   five-diagonal coupled generator, nu comes from the variance chain Q: 8524
@@ -14,14 +14,14 @@
   its first call, so the fast route runs on numpy alone.
 
 Memory: the regime family never exists dense, and neither does a regime
-stack of more than _BAND_STEP_BYTES (2 MiB, N = M >= 65), which comes back
-as band rows: only the regimes its series squares keep dense matrices.  Up
-to 2 MiB the dense (K, n, n) stack is the largest array of a price.
-``_band_series`` allocates nothing else of that size: it sums the stack in
-chunks whose three band arrays take at most _CHUNK_BYTES (768 KiB; see
-there for the choice).  Traced peaks of a cold rough-heston price: 3.0 MB at
-N = M = 60 (dense stack), 5.3 MB at 100 and 24 MB at 200 (band rows; on the
-dense stack 10.0 and 68 MB).
+stack of more than _BAND_STEP_BYTES (2 MiB, N = M >= 65), whose matrices
+are band rows but for the few its series squares.  Up to 2 MiB the dense
+(K, n, n) stack is the largest array of a price.  ``_band_series``
+allocates nothing else of that size: it sums either layout in chunks whose
+three band arrays take at most _CHUNK_BYTES (1.5 MiB; see there for the
+choice).  Traced peaks of a cold rough-heston price: 2.8 MB at N = M = 60
+(dense stack), 5.3 MB at 100 and 24 MB at 200 (band rows; on the dense
+stack 10.0 and 68 MB).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import GeneratorError, NumericalError
 
-__all__ = ["BandStack", "expm_dense", "expm_action"]
+__all__ = ["RegimeStack", "expm_dense", "expm_action"]
 
 # Poisson mass a band series leaves out of each row.  It is lost far from the
 # diagonal, where payoffs reach 1e4 (a call at the upper x-wall): at 1e-17,
@@ -41,22 +41,22 @@ __all__ = ["BandStack", "expm_dense", "expm_action"]
 _TAIL = 1e-20
 _LAM_CAP = 1.0     # band series run at nu t <= _LAM_CAP (at most 20 terms), then square
 _DENSE_CAP = 1024  # largest generator expm_dense makes dense
-# _band_series sums a regime stack in chunks whose three band arrays take at
-# most _CHUNK_BYTES.  A dense stack is summed in one piece when its output and
-# the whole stack's band arrays together fit in _ONE_PIECE_BYTES: each extra
-# chunk costs 0.2 to 0.4 ms, and chunked, the N = M = 60 stacks (output 1.7 MB)
-# took 1.1 to 1.3 times as long.  Band rows are always chunked, at 1.0 to 1.2
-# times the time of one piece, so that a cold price at N = M = 100 peaks at 3.7
-# to 6.3 MB of traced allocations instead of 6.2 to 11.9 MB.
-_CHUNK_BYTES = 3 * 2**18
-_ONE_PIECE_BYTES = 8 * 2**20
+# _band_series sums a regime stack, of either layout, in chunks whose three
+# band arrays take at most _CHUNK_BYTES.  An extra chunk costs 0.2 to 0.5 ms,
+# and a chunk past the L2 cache sums more slowly.  Against summing every
+# dense stack in one piece, sweep-cold's per-op latencies (ten 20 s runs per
+# side) were 1.023 times as long at 1.5 MiB and 1.049 times at 2.25 MiB
+# (N = M = 60: 1.033 and 1.063; 100: 1.013 and 1.050).  A cold rough-heston
+# price at N = M = 100 peaks at 5.30 MB of traced allocations (5.65 MB at
+# 2.25 MiB, 6.53 MB at 3 MiB).
+_CHUNK_BYTES = 6 * 2**18
 # A regime stack exp(Lambda_l dt) whose dense (K, n, n) form would take more
 # than _BAND_STEP_BYTES, the L2 cache of one core on the 2-core host measured,
-# is kept as band rows (``BandStack``): past it the dense stack streams from
-# L3 at every slice.  One slice's regime step, batched dense matvec against
-# the band rows' einsum: 47-83 us against 51-80 us at N = M = 60 (dense
-# 1.7 MB), 202-295 us against 84-134 us at N = M = 80 (4.1 MB) and 404-460 us
-# against 206-236 us at N = M = 100 (8 MB).
+# is kept as band rows (``RegimeStack.padded``): past it the dense stack
+# streams from L3 at every slice.  One slice's regime step, batched dense
+# matvec against the band rows' einsum: 47-83 us against 51-80 us at
+# N = M = 60 (dense 1.7 MB), 202-295 us against 84-134 us at N = M = 80
+# (4.1 MB) and 404-460 us against 206-236 us at N = M = 100 (8 MB).
 _BAND_STEP_BYTES = 2 * 2**20
 _MAX_TERMS = 4_000_000  # largest nu t expm_action sums a series for
 # [13/13] Pade coefficients b_0 .. b_13, and the 1-norm up to which that
@@ -67,17 +67,15 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 
 
-def expm_dense(gen, t: float) -> np.ndarray | BandStack:
+def expm_dense(gen, t: float) -> np.ndarray | RegimeStack:
     """Transition matrices exp(G t) of a generator of size <= _DENSE_CAP.
 
     ``gen`` is one dense matrix, whose exponential is ``_pade13``'s, or the
     (3, K, n) diagonal planes of K tridiagonal generators (see
-    ``ctmc.tridiagonal_generator``), whose exponentials are ``_band_series``'s:
-    a dense (K, n, n) stack, or a ``BandStack`` when that stack would take
-    more than _BAND_STEP_BYTES; a sparse matrix is refused (``expm_action``
-    takes it).  Rows are checked to sum to one (1e-10) and entries to be
-    nonnegative up to -1e-12; tiny negative round-off is clamped to zero
-    after the check.
+    ``ctmc.tridiagonal_generator``), whose exponentials are ``_band_series``'s
+    ``RegimeStack``; a sparse matrix is refused (``expm_action`` takes it).
+    Rows are checked to sum to one (1e-10) and entries to be nonnegative up
+    to -1e-12; tiny negative round-off is clamped to zero after the check.
     """
     try:
         g = np.asarray(gen, dtype=float)
@@ -95,13 +93,14 @@ def expm_dense(gen, t: float) -> np.ndarray | BandStack:
                              "numerics.method=coupled")
     if t < 0:
         raise NumericalError("t must be nonnegative")
-    p = _pade13(g * t) if g.ndim == 2 else _band_series(g, t)
-    if isinstance(p, BandStack):
-        sums = p.rows.sum(axis=1).reshape(-1, n)
-        sums[p.squared] = p.dense.sum(axis=-1)
-        parts = p.padded, p.dense
-    else:
+    if g.ndim == 2:
+        p = _pade13(g * t)
         sums, parts = p.sum(axis=-1), (p,)
+    else:
+        p = _band_series(g, t)
+        sums = np.zeros(g.shape[1:]) if p.padded is None else p.rows.sum(axis=1).reshape(-1, n)
+        sums[p.on_dense] = p.dense.sum(axis=-1)
+        parts = (p.dense,) if p.padded is None else (p.padded, p.dense)
     row_defect = np.abs(sums - 1.0).max()
     if row_defect > 1e-10:
         raise NumericalError(
@@ -160,19 +159,31 @@ def _series_length(lam: np.ndarray) -> np.ndarray:
     return np.argmax((ratio < 1.0) & (term <= _TAIL * (1.0 - ratio)), axis=1)
 
 
-class BandStack(NamedTuple):
-    """exp(G_k t) of K tridiagonal generators as band rows (see _BAND_STEP_BYTES).
+class RegimeStack(NamedTuple):
+    """exp(G_k t) of K tridiagonal generators, each matrix dense or as band rows.
 
-    ``padded`` is (W + K n + W, 2W + 1): W zero rows, then row k n + i of the
-    stack, holding entry (i, i + o) of matrix k at column W + o (zero where
-    i + o falls outside the matrix), then W zero rows.  The matrices of the
-    regimes in ``squared``, which the series squares, are the dense
-    (len(squared), n, n) ``dense``, and their band rows are zero.
+    ``dense`` holds the (len(on_dense), n, n) matrices of the regimes
+    ``on_dense``: every regime while the dense stack takes at most
+    _BAND_STEP_BYTES, above it the regimes the series squares.  ``padded``
+    is None when every regime is dense, else (W + K n + W, 2W + 1): W zero
+    rows, then row k n + i of the stack, holding entry (i, i + o) of matrix k
+    at column W + o (zero where i + o falls outside the matrix, and on the
+    rows of a dense regime), then W zero rows.
     """
 
-    padded: np.ndarray
-    squared: np.ndarray
     dense: np.ndarray
+    on_dense: np.ndarray
+    padded: np.ndarray | None
+
+    @property
+    def layout(self) -> str:
+        """"dense" when every regime is dense, else "band"."""
+        return "dense" if self.padded is None else "band"
+
+    @property
+    def row_width(self) -> int:
+        """Length of a row the step reads: n dense, 2W + 1 on band rows."""
+        return self.dense.shape[-1] if self.padded is None else self.padded.shape[1]
 
     @property
     def rows(self) -> np.ndarray:
@@ -181,13 +192,16 @@ class BandStack(NamedTuple):
         return self.padded[w:self.padded.shape[0] - w]
 
     @property
-    def mT(self) -> BandStack:
-        """The stack of transposed matrices, by an index flip of the rows.
+    def T(self) -> RegimeStack:
+        """The stack of transposed matrices; band rows by an index flip.
 
-        Row p of the result holds at column W + o the entry of row p + o at
-        column W - o: the zero rows and the zero out-of-matrix entries make
+        Row p of the flipped rows holds at column W + o the entry of row p + o
+        at column W - o: the zero rows and the zero out-of-matrix entries make
         the rows that cross into a neighbouring matrix read zeros.
         """
+        dense = self.dense.transpose(0, 2, 1)
+        if self.padded is None:
+            return RegimeStack(dense, self.on_dense, None)
         w = self.padded.shape[1] // 2
         end = self.padded.shape[0] - w
         flipped = np.empty_like(self.padded)
@@ -195,25 +209,39 @@ class BandStack(NamedTuple):
         s0, s1 = self.padded.strides
         flipped[w:end] = as_strided(self.padded[:, 2 * w:], shape=(end - w, 2 * w + 1),
                                     strides=(s0, s0 - s1))
-        return BandStack(flipped, self.squared, self.dense.transpose(0, 2, 1))
+        return RegimeStack(dense, self.on_dense, flipped)
+
+    def step(self, w: np.ndarray) -> np.ndarray:
+        """The K matrices applied to the rows of a (K, n) array, one slice's regime step.
+
+        Every regime dense: one batched matvec.  Band rows: one einsum of the
+        (K n, 2W + 1) rows against the sliding windows of the zero-padded flat
+        state, then one batched matvec that overwrites the dense regimes' rows.
+        """
+        if self.padded is None:
+            return np.matmul(self.dense, w[:, :, None])[:, :, 0]
+        rows = self.rows
+        half = rows.shape[1] // 2
+        state = np.zeros(w.size + 2 * half)         # the flat state, W zeros on each side
+        state[half:half + w.size] = w.ravel()
+        windows = np.ndarray(rows.shape, buffer=state, strides=state.strides * 2)  # state[p:p + 2W + 1]
+        out = np.einsum("pk,pk->p", rows, windows).reshape(w.shape)
+        if len(self.on_dense):
+            out[self.on_dense] = np.matmul(self.dense, w[self.on_dense, :, None])[:, :, 0]
+        return out
 
 
-def _band_series(g: np.ndarray, t: float) -> np.ndarray | BandStack:
+def _band_series(g: np.ndarray, t: float) -> RegimeStack:
     """exp(G_k t) for K tridiagonal generators given as (3, K, n) diagonal planes.
 
     With nu = max |G_ii|, lam = nu t and P = I + G/nu (tridiagonal, >= 0):
     exp(G t) = sum_j e^(-lam) lam^j / j! P^j, every term nonnegative.  The
-    stack, sorted by series length, is summed by ``_band_terms`` in chunks
-    (one piece when small: see _CHUNK_BYTES).  A matrix with lam > _LAM_CAP
-    sums the series at t / 2^s and is then squared s times.  Every matrix
-    sees the same operations in any chunking.
-
-    A stack of at most _BAND_STEP_BYTES comes back dense, (K, n, n): each
-    chunk's matrices are zeroed and given their diagonals, and the output is
-    allocated after the first chunk's band arrays (measured: a stack summed
-    in one piece then runs up to a fifth faster).  A larger one comes back
-    as a ``BandStack``: each chunk's planes are copied into its band rows,
-    and only the squared matrices are written dense.
+    stack, sorted by series length, is summed by ``_band_terms`` in chunks of
+    at most _CHUNK_BYTES.  A matrix with lam > _LAM_CAP sums the series at
+    t / 2^s and is then squared s times.  Every matrix sees the same
+    operations in any chunking.  Each chunk's dense matrices are zeroed and
+    given their diagonals, and its other planes are copied into their band
+    rows; both outputs are allocated after the first chunk's band arrays.
     """
     _, k, n = g.shape
     nu = np.abs(g[1]).max(axis=1)
@@ -222,18 +250,14 @@ def _band_series(g: np.ndarray, t: float) -> np.ndarray | BandStack:
     length = _series_length(lam)
     order = np.argsort(-length, kind="stable")
     scale = 1.0 / np.where(nu > 0.0, nu, 1.0)
-    band = 8 * k * n * n > _BAND_STEP_BYTES
-    if band:
-        squared = np.flatnonzero(halvings > 0)
-        slot = np.zeros(k, int)
-        slot[squared] = np.arange(len(squared))               # position in the dense part
-        w = int(min(length[halvings == 0].max(initial=0), n - 1))
-    band_bytes = 24 * n * (2 * np.minimum(length[order], n - 1) + 3)  # a chunk's, per matrix,
-    one_piece = not band and (8 * n * n + band_bytes[0]) * k <= _ONE_PIECE_BYTES  # from its first
+    is_dense = halvings > 0 if 8 * k * n * n > _BAND_STEP_BYTES else np.ones(k, bool)
+    slot = np.cumsum(is_dense) - 1                              # position among the dense matrices
+    w = int(min(length[~is_dense].max(initial=0), n - 1))
+    band_bytes = 24 * n * (2 * np.minimum(length[order], n - 1) + 3)  # a chunk's, per matrix
     out = None
     start = 0
     while start < k:
-        stop = k if one_piece else min(k, start + max(1, _CHUNK_BYTES // int(band_bytes[start])))
+        stop = min(k, start + max(1, _CHUNK_BYTES // int(band_bytes[start])))
         idx = order[start:stop]
         start = stop
         sc = scale[idx, None]
@@ -244,29 +268,25 @@ def _band_series(g: np.ndarray, t: float) -> np.ndarray | BandStack:
         total = _band_terms(p.reshape(3, -1), np.repeat(lam[idx], n), length[idx], n)
         c = total.shape[0] // 2
         total = total.reshape(-1, len(idx), n)
-        sq = halvings[idx] > 0
-        if band:
-            if out is None:
-                out = BandStack(np.zeros((k * n + 2 * w, 2 * w + 1)), squared,
-                                np.empty((len(squared), n, n)))
-                rows, mats = out.rows.reshape(k, n, 2 * w + 1), out.dense
+        if out is None:
+            out = RegimeStack(np.empty((np.count_nonzero(is_dense), n, n)), np.flatnonzero(is_dense),
+                              None if is_dense.all() else np.zeros((k * n + 2 * w, 2 * w + 1)))
+        on = is_dense[idx]
+        if not on.all():
             v = min(c - 1, w)                                # plane c + o is column w + o
-            keep = ~sq if sq.any() else slice(None)          # a mask would copy the planes
-            rows[idx[keep], :, w - v:w + v + 1] = total[c - v:c + v + 1, keep].transpose(1, 2, 0)
-            squares = slot[idx[sq]]
-            if len(squares):
-                _scatter(mats.reshape(-1, n * n), squares, total[:, sq], length[idx[sq]], n)
-        else:
-            if out is None:
-                out = mats = np.empty((k, n, n))
-            squares = idx[sq]
-            _scatter(out.reshape(k, n * n), idx, total, length[idx], n)
+            keep = ~on if on.any() else slice(None)          # a mask would copy the planes
+            out.rows.reshape(k, n, 2 * w + 1)[idx[keep], :, w - v:w + v + 1] = (
+                total[c - v:c + v + 1, keep].transpose(1, 2, 0))
+        if on.any():
+            _scatter(out.dense.reshape(-1, n * n), slot[idx[on]],
+                     total if on.all() else total[:, on], length[idx[on]], n)
         del total, p                                         # before the next chunk's arrays
-        for i, s in zip(squares, halvings[idx[sq]]):         # squared one by one: no stack copies
-            x = mats[i]
+        sq = idx[halvings[idx] > 0]
+        for i, s in zip(slot[sq], halvings[sq]):             # squared one by one: no stack copies
+            x = out.dense[i]
             for _ in range(s):
                 x = x @ x
-            mats[i] = x
+            out.dense[i] = x
     return out
 
 

@@ -18,7 +18,7 @@ seed 20240) that corroborates the derived one.
 
 from __future__ import annotations
 
-from .models import MODEL_NAMES
+from .models import _FAMILIES, MODEL_NAMES
 
 __all__ = ["BASE_MARKET", "BASE_KERNEL", "BASE_OPTION", "model_params", "REFERENCE_PRICES"]
 
@@ -26,24 +26,16 @@ BASE_MARKET = {"s0": 10.0, "v0": 0.04, "rho": -0.75}
 BASE_KERNEL = {"hurst": 0.12, "eps": 1e-8}
 BASE_OPTION = {"kind": "call", "strike": 4.0, "maturity": 1.0}
 
-_SHARED = {"r": 0.0, "q": 0.0, "eta": 4.0, "theta": 0.035, "sigma": 0.8}
+# one value per parameter name; models._FAMILIES says which names a family takes
+_DEFAULTS = {"r": 0.0, "q": 0.0, "eta": 4.0, "theta": 0.035, "sigma": 0.8,
+             "a": 0.02, "b": 0.05, "c": 1.0, "beta": 0.7}
 
 
 def model_params(name: str) -> dict:
     """Default parameter dict for one family."""
-    if name == "rough-heston":
-        return dict(_SHARED)
-    if name == "rough-42":
-        return dict(_SHARED, a=0.02, b=0.05)
-    if name == "rough-alpha-hyper":
-        return {k: _SHARED[k] for k in ("r", "q", "eta", "theta", "sigma")} | {"a": 0.02}
-    if name == "rough-sabr":
-        return {"sigma": 0.8, "beta": 0.7}
-    if name == "rough-heston-sabr":
-        return dict(_SHARED, beta=0.7)
-    if name == "rough-quadratic-slv":
-        return dict(_SHARED, a=0.02, b=0.05, c=1.0)
-    raise KeyError(f"unknown model {name!r}; choose one of {MODEL_NAMES}")
+    if name not in _FAMILIES:
+        raise KeyError(f"unknown model {name!r}; choose one of {MODEL_NAMES}")
+    return {k: _DEFAULTS[k] for k in _FAMILIES[name][0]}
 
 
 # external MC reference values (european, barrier(2,15), american) per family;

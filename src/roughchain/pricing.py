@@ -25,15 +25,15 @@ an option that must carry dates.
 
 Memory: the largest array of a price is the regime step exp(Lambda_l dt)
 its slices read, kept once per slice length by backward induction and
-dropped after a law's pass.  Its form is ``matexp.expm_dense``'s rule: the
-dense (M, N, N) stack while that takes at most 2 MiB (the L2 cache of one
-core; N = M <= 64), stepped by one batched matvec; above, (M N, 2W + 1)
-band rows, stepped by one einsum (``_regime_step``), with the few regimes
-whose series is squared kept dense.  A price's diagnostics name the step
-(``regime_step``) and its row width.  The regime family is (3, M, N)
-diagonal planes, summed in chunks of bounded size (``matexp._CHUNK_BYTES``),
-so a cold rough-heston price peaks at about 3.0 MB at N = M = 60 and 5.3 MB
-at 100 (10 MB on the 8 MB dense stack).
+dropped after a law's pass.  It is ``matexp.expm_dense``'s ``RegimeStack``,
+which steps itself: every matrix dense while the dense (M, N, N) stack takes
+at most 2 MiB (the L2 cache of one core; N = M <= 64), stepped by one
+batched matvec; above, (M N, 2W + 1) band rows, stepped by one einsum,
+with the few regimes whose series is squared kept dense.  A price's
+diagnostics name the layout (``regime_step``) and its row width.  The
+regime family is (3, M, N) diagonal planes, summed in chunks of bounded
+size (``matexp._CHUNK_BYTES``), so a cold rough-heston price peaks at about
+2.8 MB at N = M = 60 and 5.3 MB at 100 (10 MB on the 8 MB dense stack).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .ctmc import GeneratorSet, validate_generator  # noqa: F401 (perfbench traces it here)
 from .errors import DomainError, ParameterError
-from .matexp import BandStack, expm_action, expm_dense
+from .matexp import expm_action, expm_dense
 
 _TOL = 1e-10  # absolute truncation error of a coupled price's uniformization series
 _MIN_SLICES = 48  # floor of the fast route's Strang slice count over T
@@ -162,8 +162,8 @@ def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: b
     With ``forward``, w is a law and the transposed semigroup acts.  With an
     int ``n_slices``: the Strang product PQh (PL PQ)^(n-1) PL PQh over n
     slices of dt = t/n, from the step operators of dt, cached as the module
-    docstring says; ``diag``, if given, receives the regime step's kind and
-    the width of the rows it reads (N dense, 2W + 1 on band rows).  With
+    docstring says; ``diag``, if given, receives the regime step's layout
+    and the width of the rows it reads (N dense, 2W + 1 on band rows).  With
     None: the exact action exp(coupled t) w by uniformization, whose series
     stops at _TOL; a law's series stops where the omitted mass times max |s|
     is at most _TOL, so the price of any call, and of any put with
@@ -182,39 +182,15 @@ def _propagate(gens: GeneratorSet, w: np.ndarray, t: float, n_slices, forward: b
         if not forward:
             gens._cache["steps", dt] = ops
     pq_half, pq_full, p_lams = ops
-    band = isinstance(p_lams, BandStack)
     if forward:
-        pq_half, pq_full = pq_half.T, pq_full.T
-        p_lams = p_lams.mT if band else p_lams.transpose(0, 2, 1)
+        pq_half, pq_full, p_lams = pq_half.T, pq_full.T, p_lams.T
     if diag is not None:
-        diag.update(regime_step="band" if band else "dense",
-                    regime_row_width=p_lams.padded.shape[1] if band else gens.n)
+        diag.update(regime_step=p_lams.layout, regime_row_width=p_lams.row_width)
     # [PQh PL PQh]^n collapsed: adjacent half-steps merge into full steps
     w = pq_half @ w
     for _ in range(n_slices - 1):
-        w = pq_full @ _regime_step(p_lams, w)
-    return pq_half @ _regime_step(p_lams, w)
-
-
-def _regime_step(p_lams, w: np.ndarray) -> np.ndarray:
-    """P_L w for one slice, on an (M, N) array.
-
-    A dense (M, N, N) stack steps by one batched matvec.  A ``BandStack``
-    steps by one einsum of its (M N, 2W + 1) rows against the sliding
-    windows of the zero-padded flat state, then one batched matvec that
-    overwrites the rows of its squared regimes.
-    """
-    if isinstance(p_lams, np.ndarray):
-        return np.matmul(p_lams, w[:, :, None])[:, :, 0]
-    rows, squared = p_lams.rows, p_lams.squared
-    half = rows.shape[1] // 2
-    state = np.zeros(w.size + 2 * half)         # the flat state, W zeros on each side
-    state[half:half + w.size] = w.ravel()
-    windows = np.ndarray(rows.shape, buffer=state, strides=state.strides * 2)  # state[p:p + 2W + 1]
-    out = np.einsum("pk,pk->p", rows, windows).reshape(w.shape)
-    if len(squared):
-        out[squared] = np.matmul(p_lams.dense, w[squared, :, None])[:, :, 0]
-    return out
+        w = pq_full @ p_lams.step(w)
+    return pq_half @ p_lams.step(w)
 
 
 def _terminal(gens: GeneratorSet, t: float, n_slices: int | None):

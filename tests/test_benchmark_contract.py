@@ -9,6 +9,8 @@ bytecode next to them.
 """
 
 import importlib.util
+import io
+import json
 import math
 import sys
 from pathlib import Path
@@ -70,3 +72,31 @@ def test_one_sweep_cold_op_prices(workloads):
     ops = {op.key: op for op in workloads.WORKLOADS["sweep-cold"].ops(eng, None, 0)}
     (price,) = ops["rough-heston/cli-grid:N=M=40"].call()
     assert math.isfinite(price) and price > 0.0
+
+
+def _expm_dense_calls(tracing, price):
+    """Calls of ``pricing.expm_dense`` while ``price()`` runs, under the harness's own wrappers."""
+    original = roughchain.pricing.expm_dense
+    with tracing.Tracer().installed(roughchain) as tracer:
+        price()
+    assert roughchain.pricing.expm_dense is original
+    return [span for span in tracer.spans if span.name == "matexp.expm_dense"]
+
+
+def test_cold_cli_price_calls_expm_dense_twice(tracing):
+    # Q's half step and the regime family: what expm_dense_calls_per_price reads
+    out = io.StringIO()
+    calls = _expm_dense_calls(tracing, lambda: roughchain.cli.run(
+        "price", None, ["numerics.n_x=20", "numerics.m_v=20"], out=out))
+    assert json.loads(out.getvalue())["price"] > 0.0
+    assert len(calls) == 2
+
+
+def test_price_on_a_cached_law_calls_expm_dense_never(tracing, workloads):
+    # a fast price with no expm_dense below it is what cache_hit_ratio counts as a hit
+    eng = workloads.Engine(roughchain)
+    gens = eng.assemble("rough-heston", 20)
+    eng.pricing.price_fast(eng.option("rough-heston", "call", 10.0, 0.5), gens)
+    put = eng.option("rough-heston", "put", 7.0, 0.5)
+    calls = _expm_dense_calls(tracing, lambda: eng.pricing.price_fast(put, gens))
+    assert calls == []

@@ -7,7 +7,7 @@ from roughchain import (MODEL_NAMES, GeneratorError, NumericalError, assemble, e
                         expm_dense, matexp, pricing)
 from roughchain.ctmc import tridiagonal_generator
 from roughchain.grids import Grid
-from roughchain.matexp import _LAM_CAP, _TAIL, BandStack, _series_length
+from roughchain.matexp import _LAM_CAP, _TAIL, _series_length
 
 from conftest import dense, random_generator
 
@@ -95,13 +95,20 @@ def _tridiagonal_stack(k, n, seed):
     return tridiagonal_generator(grid, drift, diff2)
 
 
+# Chunk budgets: one regime per chunk; two to nine regimes per chunk, some of
+# unequal series lengths; the whole stack in one piece.  The ids are the ones
+# these cases had beside a second, one-piece budget.
+_CHUNKINGS = [pytest.param(1, id="1-0"), pytest.param(64 * 1024, id="65536-0"),
+              pytest.param(2**40, id="786432-1099511627776")]
+
+
 class TestBandStack:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_regime_family_matches_pade(self, name, all_models, market, kernel):
         # the regime exponentials of one slice, at the slice length pricing uses
         gens = assemble(all_models[name], market, kernel, n=24, m=24)
         dt = 1.0 / pricing._auto_slices(gens, 1.0)
-        got = expm_dense(gens.lambdas, dt)
+        got = expm_dense(gens.lambdas, dt).dense
         want = np.stack([expm_pade(lam * dt) for lam in dense(gens.lambdas)])
         assert np.abs(got - want).max() <= 1e-14
         assert np.abs(got.sum(axis=-1) - 1.0).max() <= 1e-14
@@ -113,26 +120,21 @@ class TestBandStack:
         stack = _tridiagonal_stack(3, 12, seed=12)
         stack[:, 1] *= 40.0
         t = 30.0 / np.abs(stack[1, 1]).max()  # nu t = 30 on the stiff member
-        got = expm_dense(stack, t)
+        got = expm_dense(stack, t).dense
         want = np.stack([expm_pade(g * t) for g in dense(stack)])
         assert np.abs(got - want).max() <= 1e-13
 
-    @pytest.mark.parametrize("chunk_bytes, one_piece_bytes", [
-        (1, 0),            # one regime per chunk
-        (64 * 1024, 0),    # two to nine regimes per chunk, some of unequal series lengths
-        (matexp._CHUNK_BYTES, 2**40),  # the whole stack in one piece
-    ])
+    @pytest.mark.parametrize("chunk_bytes", _CHUNKINGS)
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_chunking_changes_no_digit(self, name, chunk_bytes, one_piece_bytes, all_models,
-                                       market, kernel, monkeypatch):
+    def test_chunking_changes_no_digit(self, name, chunk_bytes, all_models, market, kernel,
+                                       monkeypatch):
         # every regime's exponential equals, bit for bit, the one it gets alone
         # (rough-42's stiff regime is summed at dt / 2^s and squared)
         gens = assemble(all_models[name], market, kernel, n=24, m=24)
         dt = 1.0 / pricing._auto_slices(gens, 1.0)
-        alone = np.stack([expm_dense(gens.lambdas[:, [l]], dt)[0] for l in range(gens.m)])
+        alone = np.stack([expm_dense(gens.lambdas[:, [l]], dt).dense[0] for l in range(gens.m)])
         monkeypatch.setattr(matexp, "_CHUNK_BYTES", chunk_bytes)
-        monkeypatch.setattr(matexp, "_ONE_PIECE_BYTES", one_piece_bytes)
-        assert np.array_equal(expm_dense(gens.lambdas, dt), alone)
+        assert np.array_equal(expm_dense(gens.lambdas, dt).dense, alone)
 
     def test_dense_stack_rejected(self):
         # a 3-D input must be (3, K, n) planes: a dense (K, n, n) stack is refused
@@ -140,7 +142,7 @@ class TestBandStack:
             expm_dense(dense(_tridiagonal_stack(4, 6, seed=15)), 0.5)
 
     def test_zero_time_is_identity(self):
-        got = expm_dense(_tridiagonal_stack(4, 6, seed=13), 0.0)
+        got = expm_dense(_tridiagonal_stack(4, 6, seed=13), 0.0).dense
         assert np.array_equal(got, np.broadcast_to(np.eye(6), (4, 6, 6)))
 
     def test_non_generator_in_stack_rejected(self):
@@ -161,7 +163,7 @@ class TestBandStack:
 
 
 def _expand(stack, n):
-    """Dense (K, n, n) matrices of a BandStack; its out-of-matrix entries must be zero."""
+    """Dense (K, n, n) matrices of a band-row stack; its out-of-matrix entries must be zero."""
     w = stack.rows.shape[1] // 2
     rows = stack.rows.reshape(-1, n, 2 * w + 1)
     out = np.zeros((rows.shape[0], n, n + 2 * w))
@@ -170,7 +172,7 @@ def _expand(stack, n):
         out[:, i, i + o + w] = rows[:, :, w + o]
     assert not out[:, :, :w].any() and not out[:, :, n + w:].any()
     out = out[:, :, w:n + w]
-    out[stack.squared] = stack.dense
+    out[stack.on_dense] = stack.dense
     return out
 
 
@@ -179,8 +181,8 @@ class TestBandRows:
 
     def test_size_rule(self):
         # dense up to 2 MiB (K n^2 8 B), band rows above
-        assert isinstance(expm_dense(_tridiagonal_stack(64, 64, seed=17), 0.1), np.ndarray)
-        assert isinstance(expm_dense(_tridiagonal_stack(65, 64, seed=17), 0.1), BandStack)
+        assert expm_dense(_tridiagonal_stack(64, 64, seed=17), 0.1).layout == "dense"
+        assert expm_dense(_tridiagonal_stack(65, 64, seed=17), 0.1).layout == "band"
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_rows_hold_the_dense_stack(self, name, all_models, market, kernel, monkeypatch):
@@ -188,26 +190,24 @@ class TestBandRows:
         # rough-42's stiff regime is squared, and kept dense
         gens = assemble(all_models[name], market, kernel, n=24, m=24)
         dt = 1.0 / pricing._auto_slices(gens, 1.0)
-        want = expm_dense(gens.lambdas, dt)
+        want = expm_dense(gens.lambdas, dt).dense
         monkeypatch.setattr(matexp, "_BAND_STEP_BYTES", 0)
         got = expm_dense(gens.lambdas, dt)
-        assert isinstance(got, BandStack)
+        assert got.layout == "band"
         assert np.array_equal(_expand(got, 24), want)
-        assert np.array_equal(_expand(got.mT, 24), want.transpose(0, 2, 1))
-        assert list(got.squared) == ([0] if name == "rough-42" else [])
+        assert np.array_equal(_expand(got.T, 24), want.transpose(0, 2, 1))
+        assert list(got.on_dense) == ([0] if name == "rough-42" else [])
         assert got.rows.shape[1] < 2 * 24 - 1
 
-    @pytest.mark.parametrize("chunk_bytes, one_piece_bytes", [
-        (1, 0), (64 * 1024, 0), (matexp._CHUNK_BYTES, 2**40)])
+    @pytest.mark.parametrize("chunk_bytes", _CHUNKINGS)
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_chunking_changes_no_digit(self, name, chunk_bytes, one_piece_bytes, all_models,
-                                       market, kernel, monkeypatch):
+    def test_chunking_changes_no_digit(self, name, chunk_bytes, all_models, market, kernel,
+                                       monkeypatch):
         gens = assemble(all_models[name], market, kernel, n=24, m=24)
         dt = 1.0 / pricing._auto_slices(gens, 1.0)
-        alone = np.stack([expm_dense(gens.lambdas[:, [l]], dt)[0] for l in range(gens.m)])
+        alone = np.stack([expm_dense(gens.lambdas[:, [l]], dt).dense[0] for l in range(gens.m)])
         monkeypatch.setattr(matexp, "_BAND_STEP_BYTES", 0)
         monkeypatch.setattr(matexp, "_CHUNK_BYTES", chunk_bytes)
-        monkeypatch.setattr(matexp, "_ONE_PIECE_BYTES", one_piece_bytes)
         assert np.array_equal(_expand(expm_dense(gens.lambdas, dt), 24), alone)
 
     def test_non_generator_rejected(self, monkeypatch):
@@ -270,10 +270,7 @@ class TestBandTerms:
         dt = 1.0 / pricing._auto_slices(gens, 1.0)
         if one_piece:
             monkeypatch.setattr(matexp, "_BAND_STEP_BYTES", 2**40)
-            monkeypatch.setattr(matexp, "_ONE_PIECE_BYTES", 2**40)
-        else:
-            monkeypatch.setattr(matexp, "_CHUNK_BYTES", 64 * 1024)
-            monkeypatch.setattr(matexp, "_ONE_PIECE_BYTES", 0)
+        monkeypatch.setattr(matexp, "_CHUNK_BYTES", 2**40 if one_piece else 64 * 1024)
         expm_dense(gens.lambdas, dt)
         assert (len(chunks) == 1) == one_piece
 
@@ -286,7 +283,7 @@ class TestBandTerms:
         got = expm_dense(stack, 30.0 / np.abs(stack[1, 1]).max())
         assert [k for k, _ in chunks] == [3]
         if band_step_bytes == 0:  # the squared member's band rows stay zero
-            assert list(got.squared) == [1] and not got.rows.reshape(3, 12, -1)[1].any()
+            assert list(got.on_dense) == [1] and not got.rows.reshape(3, 12, -1)[1].any()
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_width_capped_at_n_minus_one(self, n, chunks):

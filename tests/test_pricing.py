@@ -214,16 +214,71 @@ class TestTerminalLaw:
         assert abs(res.diagnostics["forward_defect"] - want) <= 1e-12
 
 
-class TestRegimeStep:
-    """Band rows against the dense regime stack, on the same system.
+def _strang(w, n_slices, pq_half, pq_full, p_lams):
+    """The slice loop written out: PQh (PL PQ)^(n-1) PL PQh w, PL one batched matvec."""
+    w = pq_half @ w
+    for _ in range(n_slices - 1):
+        w = pq_full @ np.matmul(p_lams, w[:, :, None])[:, :, 0]
+    return pq_half @ np.matmul(p_lams, w[:, :, None])[:, :, 0]
 
-    At N = M = 80 the dense stack would take 4.1 MB, over the 2 MiB rule, so
-    the slice loop steps on band rows; raising the rule forces the dense
-    step.  The entries are the same numbers, so the prices differ only in the
-    order each row's products are summed.  rough-42's lowest-variance regime
-    is squared, so its dense rows overwrite the band step's, forwards (the
-    law) and backwards (the Bermudan).
+
+class TestRegimeStep:
+    """The regime step of both layouts of ``matexp.RegimeStack``.
+
+    Up to 2 MiB every regime's matrix is dense and a slice steps by one
+    batched matvec, so a price is the Strang product on those matrices bit
+    for bit.  At N = M = 80 the dense stack would take 4.1 MB, over the
+    2 MiB rule, so the slice loop steps on band rows; raising the rule
+    forces the dense step.  The entries are the same numbers, so the prices
+    differ only in the order each row's products are summed.  rough-42's
+    lowest-variance regime is squared, so its dense rows overwrite the band
+    step's, forwards (the law) and backwards (the Bermudan).
     """
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_dense_rows_step_by_matmul(self, name, all_models, market, kernel, monkeypatch):
+        gens = assemble(all_models[name], market, kernel, n=24, m=24)
+        dt = 1.0 / pricing._auto_slices(gens, 1.0)
+        w = np.random.default_rng(5).random((24, 24))
+        stack = matexp.expm_dense(gens.lambdas, dt)
+        monkeypatch.setattr(matexp, "_BAND_STEP_BYTES", 0)
+        band = matexp.expm_dense(gens.lambdas, dt)
+        assert (stack.layout, band.layout) == ("dense", "band")
+        assert list(band.on_dense) == ([0] if name == "rough-42" else [])
+        for s in (stack, stack.T):  # every regime
+            assert np.array_equal(s.step(w), np.matmul(s.dense, w[:, :, None])[:, :, 0])
+        for s in (band, band.T):    # the squared regimes
+            sq = s.on_dense
+            assert np.array_equal(s.step(w)[sq], np.matmul(s.dense, w[sq, :, None])[:, :, 0])
+
+    @pytest.mark.parametrize("size", [48, 60])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_dense_prices_are_the_strang_product(self, name, size, all_models, market, kernel):
+        gens = assemble(all_models[name], market, kernel, n=size, m=size)
+        disc = np.exp(-gens.model.rates[0] * 1.0)
+
+        def operators(dt):
+            pq_half = matexp.expm_dense(gens.q, dt / 2.0)
+            return pq_half, pq_half @ pq_half, matexp.expm_dense(gens.lambdas, dt).dense
+
+        call = price_fast(CALL, gens)
+        n = call.diagnostics["n_slices"]
+        assert call.diagnostics["regime_step"] == "dense"
+        pq_half, pq_full, p_lams = operators(1.0 / n)
+        law = np.zeros((size, size))
+        law[gens.anchor_indices] = 1.0
+        law = _strang(law, n, pq_half.T, pq_full.T, p_lams.transpose(0, 2, 1))
+        assert call.price == float(disc * np.vdot(law, payoff_vector(CALL, gens)))
+
+        put = OptionSpec("put", 10.0, 1.0, bermudan_dates=6)
+        bermudan = price_fast(put, gens)
+        n = bermudan.diagnostics["n_slices"] // 6
+        ops = operators(1.0 / 6 / n)
+        pay = payoff_vector(put, gens)
+        w, disc = pay, np.exp(-gens.model.rates[0] * (1.0 / 6))
+        for _ in range(6):
+            w = np.maximum(disc * _strang(w, n, *ops), pay)
+        assert bermudan.price == float(w[gens.anchor_indices])
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_band_step_matches_dense_step(self, name, all_models, market, kernel, monkeypatch):
@@ -260,7 +315,8 @@ class TestCache:
             res = price_fast(OptionSpec("put", 10.0, t, bermudan_dates=4), gens)
             dt = t / res.diagnostics["n_slices"]
             pq_half, pq_full, p_lams = gens._cache["steps", dt]
-            assert pq_half.shape == pq_full.shape == (24, 24) and p_lams.shape == (24, 24, 24)
+            assert pq_half.shape == pq_full.shape == (24, 24)
+            assert p_lams.layout == "dense" and p_lams.dense.shape == (24, 24, 24)
         assert len(gens._cache) == 2
 
     def test_second_grid_with_the_same_slice_length_builds_nothing(
