@@ -34,13 +34,19 @@ why, and return nan; ``compare-mc`` turns that into a NumericalError.
 Randomness comes from the counter-based Philox generator: batch b of a run
 draws from ``Philox(key=seed).jumped(b)``, which gives documented,
 order-independent stream splitting and bit-identical results for a fixed
-(config, seed).  Batch reductions use fixed-shape numpy sums (pairwise).
+(config, seed).  So the increments depend only on the seed, the paths and
+batch size, the steps, the horizon, antithetic and the number of draws, and
+runs that agree on all of these share them: the increments of recent runs
+are kept read-only, up to _KEEP_BYTES (4 MiB) in all, and a second price at
+one config draws nothing.  A larger run is drawn batch by batch and not
+kept.  Batch reductions use fixed-shape numpy sums (pairwise).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from numbers import Integral
@@ -56,6 +62,15 @@ __all__ = ["McConfig", "simulate_v", "mc_price", "estimate_l2_rate"]
 
 _BATCH = 8192
 _BLOCK = 16     # recursion steps per block: the fastest of 4..64 at 8192 paths x 256 steps
+# Bytes of Brownian increments kept across runs, so that repeated prices at one
+# config skip the Philox draws (about 19 ns a normal).  1024 paths x 128 steps
+# x 2 draws (2 MiB, the benchmark's Monte Carlo config) fit: a call priced
+# there takes 5.4-7.7 ms warm against 14.8-17.0 ms cold (rough-heston,
+# rough-sabr, rough-quadratic-slv; one core, BLAS on one thread).  compare-mc's
+# default 100000 x 256 (13 batches of 33.5 MB) is drawn batch by batch, never kept.
+_KEEP_BYTES = 4 * 2**20
+_kept: dict = {}   # run key -> its batches of read-only increments, oldest use first
+_kept_lock = threading.Lock()
 NON_FINITE_ADVICE = (
     "phi(V) can be infinite where the variance reaches 0, as rough-42's "
     "phi = a sqrt(v) + b/sqrt(v) is when 2 eta theta < sigma^2.  Monte Carlo cannot "
@@ -123,22 +138,38 @@ def _batches(mc: McConfig, horizon: float, draws: int = 1):
     """Time grid, step length and the Brownian increments of each batch of paths.
 
     Returns (times, dt, batches): batches yields, per batch of at most _BATCH
-    paths, ``draws`` time-major arrays of shape (steps, m), drawn in order from
-    the batch's stream ``Philox(key=seed).jumped(b)``.
+    paths, a tuple of ``draws`` read-only, time-major arrays of shape (steps, m),
+    drawn in order from the batch's stream ``Philox(key=seed).jumped(b)``.  A run
+    whose increments fit _KEEP_BYTES is drawn whole and kept, evicting the
+    least recently used runs beyond that bound; a kept run is not drawn again.
     """
     k_steps = mc.n_steps(horizon)
     times = np.linspace(0.0, horizon, k_steps + 1)
     dt = horizon / k_steps
+    if mc.paths * k_steps * draws * 8 > _KEEP_BYTES:
+        return times, dt, _draw_run(mc, k_steps, dt, draws)
+    key = (mc.seed, mc.paths, _BATCH, k_steps, horizon, mc.antithetic, draws)
+    with _kept_lock:
+        run = _kept.pop(key, None)     # put back below as the most recent use
+        if run is None:
+            run = tuple(_draw_run(mc, k_steps, dt, draws))
+        _kept[key] = run
+        while sum(a.nbytes for r in _kept.values() for batch in r for a in batch) > _KEEP_BYTES:
+            del _kept[next(iter(_kept))]
+    return times, dt, iter(run)
 
-    def batches():
-        for b, start in enumerate(range(0, mc.paths, _BATCH)):
-            m = min(_BATCH, mc.paths - start)
-            rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(b))
-            yield [np.multiply(_draw_normals(rng, m, k_steps, mc.antithetic).T, np.sqrt(dt),
-                               out=np.empty((k_steps, m)))
-                   for _ in range(draws)]
 
-    return times, dt, batches()
+def _draw_run(mc: McConfig, k_steps: int, dt: float, draws: int):
+    """Yields each batch's ``draws`` read-only increment arrays, batch by batch."""
+    for b, start in enumerate(range(0, mc.paths, _BATCH)):
+        m = min(_BATCH, mc.paths - start)
+        rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(b))
+        batch = tuple(np.multiply(_draw_normals(rng, m, k_steps, mc.antithetic).T, np.sqrt(dt),
+                                  out=np.empty((k_steps, m)))
+                      for _ in range(draws))
+        for d in batch:
+            d.flags.writeable = False
+        yield batch
 
 
 def _v_positive_part(v, model: ModelSpec):
@@ -225,8 +256,8 @@ def mc_price(
     total_sq = 0.0
     for db, dperp in batches:
         k_steps, m = db.shape
-        dperp *= np.sqrt(1.0 - rho * rho)
-        dw = np.add(rho * db, dperp, out=dperp)
+        dw = np.multiply(dperp, np.sqrt(1.0 - rho * rho))
+        np.add(rho * db, dw, out=dw)
 
         v = _v_recursion(model, market.v0, wts, db)
         phi = model.phi(_v_positive_part(v[:-1], model))    # phi(V+_k), k < steps

@@ -100,3 +100,25 @@ def test_price_on_a_cached_law_calls_expm_dense_never(tracing, workloads):
     put = eng.option("rough-heston", "put", 7.0, 0.5)
     calls = _expm_dense_calls(tracing, lambda: eng.pricing.price_fast(put, gens))
     assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # rough-42's estimate is nan
+def test_warm_mix_draws_one_monte_carlo_run_per_pass(workloads, monkeypatch):
+    # the six mc ops share one (seed, paths, steps, T): only the first draws
+    eng = workloads.Engine(roughchain)
+    mix = workloads.WORKLOADS["warm-mix"]
+    mc_ops = [op for op in mix.ops(eng, mix.setup(eng), 91) if "/mc:" in op.key]
+    assert len(mc_ops) == 6
+    draws = []
+    original = roughchain.mc._draw_normals
+    monkeypatch.setattr(roughchain.mc, "_draw_normals",
+                        lambda *args: draws.append(args) or original(*args))
+    roughchain.mc._kept.clear()
+    shared = [repr(op.call()) for op in mc_ops]
+    assert len(draws) == 2   # one batch of 1024 paths: dB and dB_perp
+    alone = []
+    for op in mc_ops:
+        roughchain.mc._kept.clear()
+        alone.append(repr(op.call()))
+    assert shared == alone
+    assert len(draws) == 2 + 2 * len(mc_ops)

@@ -17,6 +17,7 @@ from roughchain import (
     simulate_v,
 )
 from roughchain import mc as mc_module
+from roughchain.cli import default_config
 from roughchain.presets import model_params
 
 # 0.04 + 2 / Gamma(1.62), frozen with 40-digit arithmetic
@@ -282,6 +283,90 @@ class TestMcPrice:
             heston, market, kernel, mc,
         )
         assert ba[0] <= eu[0]
+
+
+class TestIncrementCache:
+    """Runs that agree on everything a draw depends on share one read-only set of increments."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        mc_module._kept.clear()
+        yield
+        mc_module._kept.clear()
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        original = mc_module._draw_normals
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mc_module, "_draw_normals", counted)
+        return calls
+
+    def test_second_price_draws_nothing(self, heston, market, kernel, draws):
+        opt, mc = OptionSpec("call", 4.0, 0.5), McConfig(paths=1024, steps=256, seed=91)
+        first = mc_price(opt, heston, market, kernel, mc)
+        assert len(draws) == 2          # one batch: dB and dB_perp
+        second = mc_price(opt, heston, market, kernel, mc)
+        assert len(draws) == 2
+        assert repr(second) == repr(first)
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 92}, {"paths": 1023}, {"steps": 128}, {"maturity": 1.0}, {"antithetic": True},
+    ], ids=["seed", "paths", "steps", "maturity", "antithetic"])
+    def test_any_change_draws_afresh(self, heston, market, kernel, draws, change):
+        base = dict(paths=1024, steps=256, seed=91, antithetic=False)
+        maturity = change.pop("maturity", 0.5)
+        mc_price(OptionSpec("call", 4.0, 0.5), heston, market, kernel, McConfig(**base))
+        assert len(draws) == 2
+        mc_price(OptionSpec("call", 4.0, maturity), heston, market, kernel,
+                 McConfig(**base | change))
+        assert len(draws) == 4
+
+    def test_kept_increments_are_read_only(self):
+        mc = McConfig(paths=40, steps=16, seed=3)
+        for _ in range(2):              # drawn, then read back from the cache
+            _, _, batches = mc_module._batches(mc, 1.0, draws=2)
+            for batch in batches:
+                for d in batch:
+                    assert not d.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        d *= 2.0
+        assert len(mc_module._kept) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("batch", [8192, 7])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_cleared_and_warm_agree_bit_for_bit(self, all_models, market, kernel, monkeypatch,
+                                                batch, antithetic):
+        monkeypatch.setattr(mc_module, "_BATCH", batch)
+        mc = McConfig(paths=31, steps=24, seed=17, antithetic=antithetic)
+        runs = {
+            "mc_price": lambda m: repr(mc_price(OptionSpec("put", 11.0, 0.5), m, market,
+                                                kernel, mc)),
+            "simulate_v": lambda m: simulate_v(m, market, mc, 0.5, kernel, True).tobytes(),
+            "estimate_l2_rate": lambda m: repr(estimate_l2_rate([1e-4, 1e-3], m, market, mc,
+                                                                0.5, kernel.hurst)),
+        }
+        for name in ("rough-heston", "rough-sabr"):
+            for run in runs.values():
+                mc_module._kept.clear()
+                cold = run(all_models[name])
+                assert run(all_models[name]) == cold
+                assert len(mc_module._kept) == 1
+
+    def test_run_over_the_bound_is_not_kept(self, draws):
+        defaults = default_config()["mc"]
+        mc = McConfig(**defaults)
+        assert mc.paths * mc.n_steps(1.0) * 2 * 8 > mc_module._KEEP_BYTES
+        _, _, batches = mc_module._batches(mc, 1.0, draws=2)
+        db, dperp = next(batches)
+        assert db.shape == (256, mc_module._BATCH) and not dperp.flags.writeable
+        assert len(draws) == 2          # drawn batch by batch, not whole
+        assert mc_module._kept == {}
 
 
 class TestKernelWeights:
