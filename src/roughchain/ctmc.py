@@ -226,12 +226,14 @@ def assemble(
     """Build the grids and both generator layers of ``model``."""
     vgrid = build_variance_grid(m, market, v_bounds)
     xgrid = build_x_grid(n, market, model, vgrid, x_bounds)
-    # coefficient positivity on the state rectangle
+    # coefficient positivity on the state rectangle; a NaN fails it too
     v = vgrid.nodes
-    if np.any(model.phi(v) <= 0) or np.any(model.sigma(v) <= 0):
-        raise GeneratorError("phi or sigma not positive on the variance grid")
+    for name, coef in (("phi", model.phi), ("sigma", model.sigma)):
+        if not np.all(coef(v) > 0):
+            raise GeneratorError(f"{name} not positive on the variance grid [{v[0]:.4g}, "
+                                 f"{v[-1]:.4g}]: the lower numerics.v_bounds must be above 0")
     asset_states = asset_level(xgrid.nodes, v[:, None], model, market)
-    if np.any(model.nu(asset_states) <= 0):
+    if not np.all(model.nu(asset_states) > 0):
         raise GeneratorError("nu not positive on the reconstructed asset states")
     return GeneratorSet(
         q=build_Q(vgrid, model, market, kernel),

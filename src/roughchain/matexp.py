@@ -6,7 +6,7 @@
   tridiagonal generators (the M regime chains Lambda_l), given as their
   (3, K, n) diagonal planes, through a band uniformization series
   (``_band_series``), which returns a ``RegimeStack``: every matrix dense up
-  to _BAND_STEP_BYTES, above it band rows but for the squared regimes.
+  to _BAND_STEP_BYTES, above it band rows but for those with nu t > _LAM_CAP.
 * ``expm_action`` gives exp(G t) w by uniformization, one Poisson series of
   about nu t + 7 sqrt(nu t) sparse products with nu = max |G_ii| (on the
   five-diagonal coupled generator, nu comes from the variance chain Q: 8524
@@ -15,7 +15,7 @@
 
 Memory: the regime family never exists dense, and neither does a regime
 stack of more than _BAND_STEP_BYTES (2 MiB, N = M >= 65), whose matrices
-are band rows but for the few its series squares.  Up to 2 MiB the dense
+are band rows but for the few with nu t > _LAM_CAP.  Up to 2 MiB the dense
 (K, n, n) stack is the largest array of a price.  ``_band_series``
 allocates nothing else of that size: it sums either layout in chunks whose
 three band arrays take at most _CHUNK_BYTES (1.5 MiB; see there for the
@@ -39,7 +39,10 @@ __all__ = ["RegimeStack", "expm_dense", "expm_action"]
 # diagonal, where payoffs reach 1e4 (a call at the upper x-wall): at 1e-17,
 # out-of-the-money rough-sabr prices of 2e-6 to 5e-4 moved by 4e-17 to 5e-16.
 _TAIL = 1e-20
-_LAM_CAP = 1.0     # band series run at nu t <= _LAM_CAP (at most 20 terms), then square
+# A band stack keeps dense the regimes with nu t > _LAM_CAP: their series are long (rough-42's
+# lowest regime, 28 to 33 terms), and as band rows they would widen every row of the stack.
+_LAM_CAP = 1.0
+_LAM_MAX = 700.0   # largest nu t summed: e^(-nu t) nears the least normal double at 708
 _DENSE_CAP = 1024  # largest generator expm_dense makes dense
 # _band_series sums a regime stack, of either layout, in chunks whose three
 # band arrays take at most _CHUNK_BYTES.  An extra chunk costs 0.2 to 0.5 ms,
@@ -102,7 +105,7 @@ def expm_dense(gen, t: float) -> np.ndarray | RegimeStack:
         sums[p.on_dense] = p.dense.sum(axis=-1)
         parts = (p.dense,) if p.padded is None else (p.padded, p.dense)
     row_defect = np.abs(sums - 1.0).max()
-    if row_defect > 1e-10:
+    if not row_defect <= 1e-10:
         raise NumericalError(
             f"exp(Gt) rows deviate from stochasticity by {row_defect:.3e}; "
             "input is probably not a generator"
@@ -147,16 +150,24 @@ def _pade13(a: np.ndarray) -> np.ndarray:
 
 
 def _series_length(lam: np.ndarray) -> np.ndarray:
-    """Last Poisson term J per lam <= _LAM_CAP whose right tail is below _TAIL.
+    """Last Poisson term J per lam whose right tail is below _TAIL.
 
     The tail after term J is at most term_{J+1} / (1 - lam/(J+2)), as the
     ratio of consecutive terms is lam/(i+1); unlike 1 - cdf, this bound can
-    go below the rounding of 1.
+    go below the rounding of 1.  The search runs 64 terms at a time.
     """
-    j = np.arange(1.0, 65.0)
-    term = np.exp(-lam)[:, None] * np.cumprod(lam[:, None] / j, axis=1)  # term_j
-    ratio = lam[:, None] / (j + 1.0)
-    return np.argmax((ratio < 1.0) & (term <= _TAIL * (1.0 - ratio)), axis=1)
+    if not (top := lam.max(initial=0.0)) <= _LAM_MAX:
+        raise NumericalError(f"a regime chain's nu dt = {top:.4g} is past the {_LAM_MAX:g} its "
+                             "series sums: use a smaller numerics.n_x or numerics.method=coupled")
+    length, prod, j = np.full(lam.shape, -1), np.ones((len(lam), 1)), np.arange(1.0, 65.0)
+    while (length < 0).any():  # prod ends at lam^j / j! of the block's last j
+        prod = np.cumprod(np.hstack([prod[:, -1:], lam[:, None] / j]), axis=1)[:, 1:]
+        ratio = lam[:, None] / (j + 1.0)
+        done = (ratio < 1.0) & (np.exp(-lam)[:, None] * prod <= _TAIL * (1.0 - ratio))
+        found = (length < 0) & done.any(axis=1)
+        length[found] = np.argmax(done[found], axis=1) + int(j[0]) - 1
+        j += 64.0
+    return length
 
 
 class RegimeStack(NamedTuple):
@@ -164,7 +175,7 @@ class RegimeStack(NamedTuple):
 
     ``dense`` holds the (len(on_dense), n, n) matrices of the regimes
     ``on_dense``: every regime while the dense stack takes at most
-    _BAND_STEP_BYTES, above it the regimes the series squares.  ``padded``
+    _BAND_STEP_BYTES, above it the regimes with nu t > _LAM_CAP.  ``padded``
     is None when every regime is dense, else (W + K n + W, 2W + 1): W zero
     rows, then row k n + i of the stack, holding entry (i, i + o) of matrix k
     at column W + o (zero where i + o falls outside the matrix, and on the
@@ -237,25 +248,22 @@ def _band_series(g: np.ndarray, t: float) -> RegimeStack:
     With nu = max |G_ii|, lam = nu t and P = I + G/nu (tridiagonal, >= 0):
     exp(G t) = sum_j e^(-lam) lam^j / j! P^j, every term nonnegative.  The
     stack, sorted by series length, is summed by ``_band_terms`` in chunks of
-    at most _CHUNK_BYTES.  A matrix with lam > _LAM_CAP sums the series at
-    t / 2^s and is then squared s times.  Every matrix sees the same
-    operations in any chunking.  Each chunk's dense matrices are zeroed and
-    given their diagonals, and its other planes are copied into their band
-    rows; both outputs are allocated after the first chunk's band arrays.
+    at most _CHUNK_BYTES; every matrix sees the same operations in any
+    chunking.  Each chunk's dense matrices are zeroed and given their
+    diagonals, and its other planes are copied into their band rows; both
+    outputs are allocated after the first chunk's band arrays.
     """
     _, k, n = g.shape
     nu = np.abs(g[1]).max(axis=1)
-    halvings = np.ceil(np.log2(np.maximum(nu * t, _LAM_CAP) / _LAM_CAP)).astype(int)
-    lam = nu * t / 2.0**halvings
+    lam = nu * t
     length = _series_length(lam)
     order = np.argsort(-length, kind="stable")
     scale = 1.0 / np.where(nu > 0.0, nu, 1.0)
-    is_dense = halvings > 0 if 8 * k * n * n > _BAND_STEP_BYTES else np.ones(k, bool)
+    is_dense = lam > _LAM_CAP if 8 * k * n * n > _BAND_STEP_BYTES else np.ones(k, bool)
     slot = np.cumsum(is_dense) - 1                              # position among the dense matrices
     w = int(min(length[~is_dense].max(initial=0), n - 1))
     band_bytes = 24 * n * (2 * np.minimum(length[order], n - 1) + 3)  # a chunk's, per matrix
-    out = None
-    start = 0
+    out, start = None, 0
     while start < k:
         stop = min(k, start + max(1, _CHUNK_BYTES // int(band_bytes[start])))
         idx = order[start:stop]
@@ -281,12 +289,6 @@ def _band_series(g: np.ndarray, t: float) -> RegimeStack:
             _scatter(out.dense.reshape(-1, n * n), slot[idx[on]],
                      total if on.all() else total[:, on], length[idx[on]], n)
         del total, p                                         # before the next chunk's arrays
-        sq = idx[halvings[idx] > 0]
-        for i, s in zip(slot[sq], halvings[sq]):             # squared one by one: no stack copies
-            x = out.dense[i]
-            for _ in range(s):
-                x = x @ x
-            out.dense[i] = x
     return out
 
 

@@ -36,9 +36,9 @@ draws from ``Philox(key=seed).jumped(b)``, which gives documented,
 order-independent stream splitting and bit-identical results for a fixed
 (config, seed).  So the increments depend only on the seed, the paths and
 batch size, the steps, the horizon, antithetic and the number of draws, and
-runs that agree on all of these share them: the increments of recent runs
-are kept read-only, up to _KEEP_BYTES (4 MiB) in all, and a second price at
-one config draws nothing.  A larger run is drawn batch by batch and not
+runs that agree on all of these share them: the increments of the last run
+of at most _KEEP_BYTES (4 MiB) are kept read-only, and a second price at
+that config draws nothing.  A larger run is drawn batch by batch and not
 kept.  Batch reductions use fixed-shape numpy sums (pairwise).
 """
 
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from numbers import Integral
@@ -69,8 +68,6 @@ _BLOCK = 16     # recursion steps per block: the fastest of 4..64 at 8192 paths 
 # rough-sabr, rough-quadratic-slv; one core, BLAS on one thread).  compare-mc's
 # default 100000 x 256 (13 batches of 33.5 MB) is drawn batch by batch, never kept.
 _KEEP_BYTES = 4 * 2**20
-_kept: dict = {}   # run key -> its batches of read-only increments, oldest use first
-_kept_lock = threading.Lock()
 NON_FINITE_ADVICE = (
     "phi(V) can be infinite where the variance reaches 0, as rough-42's "
     "phi = a sqrt(v) + b/sqrt(v) is when 2 eta theta < sigma^2.  Monte Carlo cannot "
@@ -140,29 +137,27 @@ def _batches(mc: McConfig, horizon: float, draws: int = 1):
     Returns (times, dt, batches): batches yields, per batch of at most _BATCH
     paths, a tuple of ``draws`` read-only, time-major arrays of shape (steps, m),
     drawn in order from the batch's stream ``Philox(key=seed).jumped(b)``.  A run
-    whose increments fit _KEEP_BYTES is drawn whole and kept, evicting the
-    least recently used runs beyond that bound; a kept run is not drawn again.
+    whose increments fit _KEEP_BYTES is drawn whole and kept (``_kept_run``)
+    until another kept run replaces it; the kept run is not drawn again.
     """
     k_steps = mc.n_steps(horizon)
     times = np.linspace(0.0, horizon, k_steps + 1)
     dt = horizon / k_steps
     if mc.paths * k_steps * draws * 8 > _KEEP_BYTES:
-        return times, dt, _draw_run(mc, k_steps, dt, draws)
-    key = (mc.seed, mc.paths, _BATCH, k_steps, horizon, mc.antithetic, draws)
-    with _kept_lock:
-        run = _kept.pop(key, None)     # put back below as the most recent use
-        if run is None:
-            run = tuple(_draw_run(mc, k_steps, dt, draws))
-        _kept[key] = run
-        while sum(a.nbytes for r in _kept.values() for batch in r for a in batch) > _KEEP_BYTES:
-            del _kept[next(iter(_kept))]
-    return times, dt, iter(run)
+        return times, dt, _draw_run(mc, k_steps, dt, draws, _BATCH)
+    return times, dt, iter(_kept_run(mc, k_steps, horizon, draws, _BATCH))
 
 
-def _draw_run(mc: McConfig, k_steps: int, dt: float, draws: int):
-    """Yields each batch's ``draws`` read-only increment arrays, batch by batch."""
-    for b, start in enumerate(range(0, mc.paths, _BATCH)):
-        m = min(_BATCH, mc.paths - start)
+@functools.lru_cache(maxsize=1)
+def _kept_run(mc: McConfig, k_steps: int, horizon: float, draws: int, size: int) -> tuple:
+    """The last run drawn whole: its batches of read-only increments."""
+    return tuple(_draw_run(mc, k_steps, horizon / k_steps, draws, size))
+
+
+def _draw_run(mc: McConfig, k_steps: int, dt: float, draws: int, size: int):
+    """Yields each batch's ``draws`` read-only increment arrays, batches of ``size`` paths."""
+    for b, start in enumerate(range(0, mc.paths, size)):
+        m = min(size, mc.paths - start)
         rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(b))
         batch = tuple(np.multiply(_draw_normals(rng, m, k_steps, mc.antithetic).T, np.sqrt(dt),
                                   out=np.empty((k_steps, m)))

@@ -29,7 +29,7 @@ dropped after a law's pass.  It is ``matexp.expm_dense``'s ``RegimeStack``,
 which steps itself: every matrix dense while the dense (M, N, N) stack takes
 at most 2 MiB (the L2 cache of one core; N = M <= 64), stepped by one
 batched matvec; above, (M N, 2W + 1) band rows, stepped by one einsum,
-with the few regimes whose series is squared kept dense.  A price's
+with the few regimes whose series is long (nu dt > 1) kept dense.  A price's
 diagnostics name the layout (``regime_step``) and its row width.  The
 regime family is (3, M, N) diagonal planes, summed in chunks of bounded
 size (``matexp._CHUNK_BYTES``), so a cold rough-heston price peaks at about

@@ -113,12 +113,37 @@ def test_warm_mix_draws_one_monte_carlo_run_per_pass(workloads, monkeypatch):
     original = roughchain.mc._draw_normals
     monkeypatch.setattr(roughchain.mc, "_draw_normals",
                         lambda *args: draws.append(args) or original(*args))
-    roughchain.mc._kept.clear()
+    roughchain.mc._kept_run.cache_clear()
     shared = [repr(op.call()) for op in mc_ops]
     assert len(draws) == 2   # one batch of 1024 paths: dB and dB_perp
     alone = []
     for op in mc_ops:
-        roughchain.mc._kept.clear()
+        roughchain.mc._kept_run.cache_clear()
         alone.append(repr(op.call()))
     assert shared == alone
     assert len(draws) == 2 + 2 * len(mc_ops)
+
+
+def test_sweep_cold_covers_every_regime_stack_form(workloads, monkeypatch):
+    # all dense up to N = M = 60; band rows at 80 and 100, where rough-42's
+    # stiff regime stays dense: an op that changes side fails here
+    eng = workloads.Engine(roughchain)
+    stacks = []
+    original = roughchain.pricing.expm_dense
+
+    def recorded(gen, t):
+        out = original(gen, t)
+        if isinstance(out, roughchain.matexp.RegimeStack):
+            stacks.append(out)
+        return out
+
+    monkeypatch.setattr(roughchain.pricing, "expm_dense", recorded)
+    forms = {}
+    for op in workloads.WORKLOADS["sweep-cold"].ops(eng, None, 0):
+        op.call()
+        (stack,) = stacks
+        stacks.clear()
+        forms[op.key] = stack.layout, list(stack.on_dense) if stack.layout == "band" else None
+    want = {key: ("dense", None) if int(key.rsplit("N=M=", 1)[1]) <= 60
+            else ("band", [0] if key.startswith("rough-42/") else []) for key in forms}
+    assert len(forms) == 54 and forms == want

@@ -232,3 +232,10 @@ class TestAssemble:
     def test_anchor_reconstructs_s0(self, heston_system):
         l0, i0 = heston_system.anchor_indices
         assert heston_system.asset_states[l0, i0] == pytest.approx(10.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # sqrt of v < 0
+    def test_nan_coefficient_is_refused(self, heston, market, kernel):
+        # phi = sqrt(v) is NaN below 0: refused here, not as a non-finite Q at the price
+        with pytest.raises(GeneratorError, match="phi not positive") as err:
+            assemble(heston, market, kernel, n=12, m=12, v_bounds=(-0.01, 0.1))
+        assert "the lower numerics.v_bounds must be above 0" in str(err.value)

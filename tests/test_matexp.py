@@ -113,10 +113,10 @@ class TestBandStack:
         assert np.abs(got - want).max() <= 1e-14
         assert np.abs(got.sum(axis=-1) - 1.0).max() <= 1e-14
         assert got.min() >= 0.0
-        if name == "rough-42":  # one stiff regime: its series runs at dt / 2^s
+        if name == "rough-42":  # one stiff regime: its full series runs past 20 terms
             assert gens.nu_lambda * dt > _LAM_CAP
 
-    def test_stiff_member_is_scaled_and_squared(self):
+    def test_stiff_member_sums_its_full_series(self):
         stack = _tridiagonal_stack(3, 12, seed=12)
         stack[:, 1] *= 40.0
         t = 30.0 / np.abs(stack[1, 1]).max()  # nu t = 30 on the stiff member
@@ -124,12 +124,19 @@ class TestBandStack:
         want = np.stack([expm_pade(g * t) for g in dense(stack)])
         assert np.abs(got - want).max() <= 1e-13
 
+    def test_series_past_its_range_is_refused(self):
+        # e^(-800) underflows to zero: a coarser grid or the coupled route instead
+        stack = _tridiagonal_stack(2, 8, seed=16)
+        with pytest.raises(NumericalError, match="nu dt = 800") as err:
+            expm_dense(stack, 800.0 / np.abs(stack[1]).max())
+        assert "numerics.n_x" in str(err.value) and "numerics.method=coupled" in str(err.value)
+
     @pytest.mark.parametrize("chunk_bytes", _CHUNKINGS)
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_chunking_changes_no_digit(self, name, chunk_bytes, all_models, market, kernel,
                                        monkeypatch):
         # every regime's exponential equals, bit for bit, the one it gets alone
-        # (rough-42's stiff regime is summed at dt / 2^s and squared)
+        # (rough-42's stiff regime too, whose series is the longest)
         gens = assemble(all_models[name], market, kernel, n=24, m=24)
         dt = 1.0 / pricing._auto_slices(gens, 1.0)
         alone = np.stack([expm_dense(gens.lambdas[:, [l]], dt).dense[0] for l in range(gens.m)])
@@ -152,14 +159,18 @@ class TestBandStack:
             expm_dense(stack, 0.5)
 
     def test_series_length(self):
-        # the tail bound is reachable: 17 terms at nu t = 0.5, none at 0
-        lengths = _series_length(np.array([0.5, 0.0, _LAM_CAP]))
-        assert lengths[0] < 20 and lengths[1] == 0
-        for lam, j in zip((0.5, _LAM_CAP), lengths[[0, 2]]):
+        # the tail bound is reachable: 17 terms at nu t = 0.5, none at 0; past
+        # 64 terms (the first block) and near the largest nu t summed as well
+        lams = np.array([0.5, 0.0, _LAM_CAP, 3.8, 100.0, 699.0])
+        lengths = _series_length(lams)
+        assert lengths[0] < 20 and lengths[1] == 0 and lengths[4] > 64
+        assert np.array_equal(lengths, [_series_length(lams[[i]])[0] for i in range(len(lams))])
+        for lam, j in zip(lams[2:], lengths[2:]):
             i = np.arange(j + 1, j + 60)
             ratios = np.cumprod(lam / i)   # term_i / term_j
             term_j = np.exp(-lam) * np.prod(lam / np.arange(1, j + 1))
             assert term_j * ratios.sum() <= _TAIL
+            assert lam < j <= lam + 10.0 * np.sqrt(lam) + 20.0
 
 
 def _expand(stack, n):
@@ -184,10 +195,20 @@ class TestBandRows:
         assert expm_dense(_tridiagonal_stack(64, 64, seed=17), 0.1).layout == "dense"
         assert expm_dense(_tridiagonal_stack(65, 64, seed=17), 0.1).layout == "band"
 
+    def test_rough_42_at_real_size(self, all_models, market, kernel):
+        # N = M = 80 goes to band rows by the 2 MiB rule alone; the stiff regime
+        # (nu dt = 3.0) stays dense, from its full series
+        gens = assemble(all_models["rough-42"], market, kernel, n=80, m=80)
+        dt = 1.0 / pricing._auto_slices(gens, 1.0)
+        got = expm_dense(gens.lambdas, dt)
+        assert got.layout == "band" and list(got.on_dense) == [0] and got.row_width == 21
+        want = expm_pade(dense(gens.lambdas[:, [0]])[0] * dt)
+        assert np.abs(got.dense[0] - want).max() <= 1e-14
+
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_rows_hold_the_dense_stack(self, name, all_models, market, kernel, monkeypatch):
         # the same numbers bit for bit, transposed by the index flip; only
-        # rough-42's stiff regime is squared, and kept dense
+        # rough-42's stiff regime (nu dt > _LAM_CAP) is kept dense
         gens = assemble(all_models[name], market, kernel, n=24, m=24)
         dt = 1.0 / pricing._auto_slices(gens, 1.0)
         want = expm_dense(gens.lambdas, dt).dense
@@ -275,14 +296,14 @@ class TestBandTerms:
         assert (len(chunks) == 1) == one_piece
 
     @pytest.mark.parametrize("band_step_bytes", [2**40, 0])
-    def test_chunk_with_a_squared_regime(self, band_step_bytes, chunks, monkeypatch):
-        # the stiff member's series runs at t / 2^s beside two that are not squared
+    def test_chunk_with_a_stiff_regime(self, band_step_bytes, chunks, monkeypatch):
+        # the stiff member's full series (nu t = 30) runs beside two short ones
         stack = _tridiagonal_stack(3, 12, seed=12)
         stack[:, 1] *= 40.0
         monkeypatch.setattr(matexp, "_BAND_STEP_BYTES", band_step_bytes)
         got = expm_dense(stack, 30.0 / np.abs(stack[1, 1]).max())
         assert [k for k, _ in chunks] == [3]
-        if band_step_bytes == 0:  # the squared member's band rows stay zero
+        if band_step_bytes == 0:  # the dense member's band rows stay zero
             assert list(got.on_dense) == [1] and not got.rows.reshape(3, 12, -1)[1].any()
 
     @pytest.mark.parametrize("n", [3, 4, 5])

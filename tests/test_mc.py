@@ -290,9 +290,9 @@ class TestIncrementCache:
 
     @pytest.fixture(autouse=True)
     def cleared(self):
-        mc_module._kept.clear()
+        mc_module._kept_run.cache_clear()
         yield
-        mc_module._kept.clear()
+        mc_module._kept_run.cache_clear()
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -335,7 +335,7 @@ class TestIncrementCache:
                     assert not d.flags.writeable
                     with pytest.raises(ValueError, match="read-only"):
                         d *= 2.0
-        assert len(mc_module._kept) == 1
+        assert mc_module._kept_run.cache_info().currsize == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("batch", [8192, 7])
@@ -353,10 +353,10 @@ class TestIncrementCache:
         }
         for name in ("rough-heston", "rough-sabr"):
             for run in runs.values():
-                mc_module._kept.clear()
+                mc_module._kept_run.cache_clear()
                 cold = run(all_models[name])
                 assert run(all_models[name]) == cold
-                assert len(mc_module._kept) == 1
+                assert mc_module._kept_run.cache_info().currsize == 1
 
     def test_run_over_the_bound_is_not_kept(self, draws):
         defaults = default_config()["mc"]
@@ -366,7 +366,7 @@ class TestIncrementCache:
         db, dperp = next(batches)
         assert db.shape == (256, mc_module._BATCH) and not dperp.flags.writeable
         assert len(draws) == 2          # drawn batch by batch, not whole
-        assert mc_module._kept == {}
+        assert mc_module._kept_run.cache_info().currsize == 0
 
 
 class TestKernelWeights:

@@ -3,8 +3,8 @@
 The largest array of a price is its regime step exp(Lambda_l dt), a
 ``matexp.RegimeStack``.  Up to 2 MiB (N = M <= 64) every regime's matrix is
 dense, an (M, N, N) stack; above, they are band rows, (M N, 2W + 1) with
-W <= 16 on the six families, plus the dense matrices of the few regimes its
-series squares.  Everything else a price holds is O(M N): the regime family
+W <= 16 on the six families, plus the dense matrices of the few regimes whose
+series is long (nu dt > 1; rough-42's lowest-variance regime).  Everything else a price holds is O(M N): the regime family
 as (3, M, N) diagonal planes, and the band series' chunks of at most
 1.5 MiB of band arrays, the one budget of both layouts.
 

@@ -231,8 +231,9 @@ class TestRegimeStep:
     2 MiB rule, so the slice loop steps on band rows; raising the rule
     forces the dense step.  The entries are the same numbers, so the prices
     differ only in the order each row's products are summed.  rough-42's
-    lowest-variance regime is squared, so its dense rows overwrite the band
-    step's, forwards (the law) and backwards (the Bermudan).
+    lowest-variance regime has nu dt > 1, so its series is long and its
+    matrix stays dense: its dense rows overwrite the band step's, forwards
+    (the law) and backwards (the Bermudan).
     """
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -247,7 +248,7 @@ class TestRegimeStep:
         assert list(band.on_dense) == ([0] if name == "rough-42" else [])
         for s in (stack, stack.T):  # every regime
             assert np.array_equal(s.step(w), np.matmul(s.dense, w[:, :, None])[:, :, 0])
-        for s in (band, band.T):    # the squared regimes
+        for s in (band, band.T):    # the dense regimes
             sq = s.on_dense
             assert np.array_equal(s.step(w)[sq], np.matmul(s.dense, w[sq, :, None])[:, :, 0])
 
