@@ -225,13 +225,16 @@ def assemble(
 ) -> GeneratorSet:
     """Build the grids and both generator layers of ``model``."""
     vgrid = build_variance_grid(m, market, v_bounds)
-    xgrid = build_x_grid(n, market, model, vgrid, x_bounds)
-    # coefficient positivity on the state rectangle; a NaN fails it too
     v = vgrid.nodes
-    for name, coef in (("phi", model.phi), ("sigma", model.sigma)):
-        if not np.all(coef(v) > 0):
-            raise GeneratorError(f"{name} not positive on the variance grid [{v[0]:.4g}, "
-                                 f"{v[-1]:.4g}]: the lower numerics.v_bounds must be above 0")
+    # coefficient positivity on the state rectangle; a NaN fails it too, so a
+    # grid reaching below 0 raises only the GeneratorError, not sqrt's or log's warning
+    with np.errstate(invalid="ignore", divide="ignore"):
+        xgrid = build_x_grid(n, market, model, vgrid, x_bounds)
+        for name, coef in (("phi", model.phi), ("sigma", model.sigma)):
+            if not np.all(coef(v) > 0):
+                raise GeneratorError(
+                    f"{name} not positive on the variance grid [{v[0]:.4g}, {v[-1]:.4g}]: "
+                    "the lower numerics.v_bounds must be above 0")
     asset_states = asset_level(xgrid.nodes, v[:, None], model, market)
     if not np.all(model.nu(asset_states) > 0):
         raise GeneratorError("nu not positive on the reconstructed asset states")

@@ -13,6 +13,19 @@ class ParameterError(RoughChainError, ValueError):
     """A model/market/kernel parameter violates its admissibility condition."""
 
 
+def coerce_floats(spec, *names):
+    """Set each named field of the frozen dataclass ``spec`` to float(field).
+
+    Integer inputs would otherwise type whole arrays as int; anything float()
+    rejects raises ParameterError("{name} must be a number").
+    """
+    for name in names:
+        try:
+            object.__setattr__(spec, name, float(getattr(spec, name)))
+        except (TypeError, ValueError):
+            raise ParameterError(f"{name} must be a number") from None
+
+
 class GridError(RoughChainError, ValueError):
     """A state grid cannot be built or fails its spacing invariants."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError, coerce_floats
 
 __all__ = [
     "KernelSpec",
@@ -57,11 +57,7 @@ class KernelSpec:
     eps: float
 
     def __post_init__(self):
-        for name in ("hurst", "eps"):
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except (TypeError, ValueError):
-                raise ParameterError(f"{name} must be a number") from None
+        coerce_floats(self, "hurst", "eps")
         if not 0.0 < self.hurst <= 0.5:
             raise ParameterError(f"hurst must be in (0, 0.5], got {self.hurst}")
         if not 0.0 < self.eps < math.inf:

@@ -132,20 +132,19 @@ def _draw_normals(rng, m, k, antithetic):
 
 
 def _batches(mc: McConfig, horizon: float, draws: int = 1):
-    """Time grid, step length and the Brownian increments of each batch of paths.
+    """Step length and the Brownian increments of each batch of paths.
 
-    Returns (times, dt, batches): batches yields, per batch of at most _BATCH
+    Returns (dt, batches): batches yields, per batch of at most _BATCH
     paths, a tuple of ``draws`` read-only, time-major arrays of shape (steps, m),
     drawn in order from the batch's stream ``Philox(key=seed).jumped(b)``.  A run
     whose increments fit _KEEP_BYTES is drawn whole and kept (``_kept_run``)
     until another kept run replaces it; the kept run is not drawn again.
     """
     k_steps = mc.n_steps(horizon)
-    times = np.linspace(0.0, horizon, k_steps + 1)
     dt = horizon / k_steps
     if mc.paths * k_steps * draws * 8 > _KEEP_BYTES:
-        return times, dt, _draw_run(mc, k_steps, dt, draws, _BATCH)
-    return times, dt, iter(_kept_run(mc, k_steps, horizon, draws, _BATCH))
+        return dt, _draw_run(mc, k_steps, dt, draws, _BATCH)
+    return dt, iter(_kept_run(mc, k_steps, horizon, draws, _BATCH))
 
 
 @functools.lru_cache(maxsize=1)
@@ -186,10 +185,10 @@ def simulate_v(
     ``perturbed=False`` uses the singular kernel (rough model);
     ``perturbed=True`` uses the shifted kernel with the given eps.
     """
-    times, _, batches = _batches(mc, horizon)
-    wts = _kernel_weights(mc.n_steps(horizon), horizon, kernel.hurst,
-                          kernel.eps if perturbed else 0.0)
-    out = np.empty((mc.paths, len(times)))
+    _, batches = _batches(mc, horizon)
+    k_steps = mc.n_steps(horizon)
+    wts = _kernel_weights(k_steps, horizon, kernel.hurst, kernel.eps if perturbed else 0.0)
+    out = np.empty((mc.paths, k_steps + 1))
     for b, (db,) in enumerate(batches):
         out[b * _BATCH:b * _BATCH + db.shape[1]] = _v_recursion(model, market.v0, wts, db).T
     return out
@@ -218,11 +217,6 @@ def _v_recursion(model, v0, wts, db):
     return v
 
 
-def _is_log_asset(model: ModelSpec) -> bool:
-    probe = np.array([0.5, 1.0, 2.0, 7.0])
-    return bool(np.allclose(model.nu(probe), probe))
-
-
 def mc_price(
     option: OptionSpec,
     model: ModelSpec,
@@ -233,19 +227,19 @@ def mc_price(
 ) -> tuple[float, float]:
     """Discounted payoff mean and standard error under joint (S, V) simulation.
 
-    S uses a log-Euler step when nu(s) = s (positivity-preserving), otherwise
-    a direct Euler step; V follows the kernel-integrated scheme with the
-    rough or shifted kernel.  Correlation enters through dW = rho dB +
-    sqrt(1-rho^2) dBperp.  The payoff is discounted at the model's r.
+    S takes a log-Euler step (positivity-preserving) exactly when the family's
+    asset transform g is np.log, otherwise a direct Euler step; V follows the
+    kernel-integrated scheme with the rough or shifted kernel.  Correlation
+    enters through dW = rho dB + sqrt(1-rho^2) dBperp.  The payoff is
+    discounted at the model's r.
     """
     horizon = option.maturity
     disc = np.exp(-_rate(option, model) * horizon)
-    _, dt, batches = _batches(mc, horizon, draws=2)
+    dt, batches = _batches(mc, horizon, draws=2)
     wts = _kernel_weights(mc.n_steps(horizon), horizon, kernel.hurst,
                           kernel.eps if perturbed else 0.0)
     rho = market.rho
     r, q = model.rates
-    log_asset = _is_log_asset(model)
 
     total = 0.0
     total_sq = 0.0
@@ -256,7 +250,7 @@ def mc_price(
 
         v = _v_recursion(model, market.v0, wts, db)
         phi = model.phi(_v_positive_part(v[:-1], model))    # phi(V+_k), k < steps
-        if log_asset:
+        if model.g is np.log:
             # log-Euler increments (r - q - phi^2 / 2) dt + phi dW, added to log s0 row
             # by row in step order, as a loop over the steps adds them
             inc = np.square(phi)
@@ -311,7 +305,7 @@ def estimate_l2_rate(
     eps_list = [float(e) for e in sorted(eps_list)]
     if len(eps_list) < 2:
         raise ParameterError("need at least two eps values to fit a slope")
-    _, _, batches = _batches(mc, horizon)
+    _, batches = _batches(mc, horizon)
     k_steps = mc.n_steps(horizon)
     wts_r = _kernel_weights(k_steps, horizon, hurst, 0.0)
     weights = [_kernel_weights(k_steps, horizon, hurst, eps) for eps in eps_list]

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, coerce_floats
 from .kernel import KernelSpec, laplace_constants
 
 __all__ = [
@@ -68,12 +68,7 @@ class MarketParams:
     rho: float
 
     def __post_init__(self):
-        # integer inputs would otherwise type whole simulated paths as int
-        for name in ("s0", "v0", "rho"):
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except (TypeError, ValueError):
-                raise ParameterError(f"{name} must be a number") from None
+        coerce_floats(self, "s0", "v0", "rho")
         if not 0.0 < self.s0 < np.inf:
             raise ParameterError(f"s0 must be finite and positive, got {self.s0}")
         if not np.isfinite(self.v0):
@@ -152,7 +147,7 @@ def _validated(name: str, params: dict) -> dict:
 
 
 def _log_asset() -> dict:
-    """nu(s) = s, g = ln s."""
+    """nu(s) = s, g = ln s: np.log itself, which Monte Carlo reads as its log-Euler rule."""
     return dict(
         nu=lambda s: np.asarray(s, float),
         nu_prime=lambda s: np.ones_like(np.asarray(s, float)),

@@ -45,7 +45,7 @@ from numbers import Integral
 import numpy as np
 
 from .ctmc import GeneratorSet, validate_generator  # noqa: F401 (perfbench traces it here)
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, coerce_floats
 from .matexp import expm_action, expm_dense
 
 _TOL = 1e-10  # absolute truncation error of a coupled price's uniformization series
@@ -78,11 +78,7 @@ class OptionSpec:
     bermudan_dates: int | None = None
 
     def __post_init__(self):
-        for name in ("strike", "maturity") + (() if self.rate is None else ("rate",)):
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except (TypeError, ValueError):
-                raise ParameterError(f"{name} must be a number") from None
+        coerce_floats(self, "strike", "maturity", *(() if self.rate is None else ("rate",)))
         dates = self.bermudan_dates
         if dates is not None and (isinstance(dates, bool) or not isinstance(dates, Integral)):
             raise ParameterError(f"bermudan_dates must be an integer, got {dates!r}")

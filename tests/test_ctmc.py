@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,9 +235,20 @@ class TestAssemble:
         l0, i0 = heston_system.anchor_indices
         assert heston_system.asset_states[l0, i0] == pytest.approx(10.0, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # sqrt of v < 0
     def test_nan_coefficient_is_refused(self, heston, market, kernel):
         # phi = sqrt(v) is NaN below 0: refused here, not as a non-finite Q at the price
         with pytest.raises(GeneratorError, match="phi not positive") as err:
             assemble(heston, market, kernel, n=12, m=12, v_bounds=(-0.01, 0.1))
+        assert "the lower numerics.v_bounds must be above 0" in str(err.value)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_grid_below_zero_raises_without_warning(self, name, all_models, market, kernel):
+        # sqrt and log of v < 0 are NaN: the typed error says so, numpy's warnings do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if name == "rough-alpha-hyper":     # variance domain is the real line
+                assemble(all_models[name], market, kernel, n=12, m=12, v_bounds=(-0.01, 0.1))
+                return
+            with pytest.raises(GeneratorError, match="phi not positive") as err:
+                assemble(all_models[name], market, kernel, n=12, m=12, v_bounds=(-0.01, 0.1))
         assert "the lower numerics.v_bounds must be above 0" in str(err.value)

@@ -69,14 +69,19 @@ def _path_major_v(model, market, mc, horizon, kernel, perturbed=False):
     return np.concatenate(out)
 
 
-def _step_loop_price(option, model, market, kernel, mc):
-    """Reference estimate: phi and the asset advanced one time step at a time."""
-    from roughchain.mc import (_batches, _is_log_asset, _kernel_weights, _v_positive_part,
-                               _v_recursion)
+def _step_loop_price(option, model, market, kernel, mc, log_asset=None):
+    """Reference estimate: phi and the asset advanced one time step at a time.
 
-    _, dt, batches = _batches(mc, option.maturity, draws=2)
+    The asset takes the log-Euler step if ``log_asset``, the Euler step if not;
+    by default, as ``mc_price`` does, exactly when the family's g is np.log.
+    """
+    from roughchain.mc import _batches, _kernel_weights, _v_positive_part, _v_recursion
+
+    dt, batches = _batches(mc, option.maturity, draws=2)
     wts = _kernel_weights(mc.n_steps(option.maturity), option.maturity, kernel.hurst, 0.0)
-    (r, q), rho, log_asset = model.rates, market.rho, _is_log_asset(model)
+    if log_asset is None:
+        log_asset = model.g is np.log
+    (r, q), rho = model.rates, market.rho
     pays = []
     for db, dperp in batches:
         dw = rho * db + np.sqrt(1.0 - rho * rho) * dperp
@@ -275,6 +280,22 @@ class TestMcPrice:
                 want = _step_loop_price(option, model, market, kernel, mc)
                 assert repr(got) == repr(want), (name, p, mc, option)
 
+    @pytest.mark.parametrize("name, changes", [
+        # rough-42 at sigma = 0.05: its paths stay above 0, where phi is finite
+        *[(name, {"sigma": 0.05} if name == "rough-42" else {}) for name in MODEL_NAMES],
+        # nu(s) = s^beta is within 2e-6 of s relatively on [0.5, 7], but g is not ln
+        ("rough-sabr", {"beta": 1.0 - 1e-6}),
+        ("rough-heston-sabr", {"beta": 1.0 - 1e-6}),
+    ], ids=lambda x: x if isinstance(x, str)
+        else "".join(f"{k}={v}" for k, v in x.items()) or "presets")
+    def test_log_euler_exactly_for_the_log_transform(self, name, changes, market, kernel):
+        model = make_model(name, model_params(name) | changes)
+        log_family = name in ("rough-heston", "rough-42", "rough-alpha-hyper")
+        option, mc = OptionSpec("call", 10.0, 0.5), McConfig(paths=11, steps=24, seed=5)
+        got = repr(mc_price(option, model, market, kernel, mc))
+        assert got == repr(_step_loop_price(option, model, market, kernel, mc, log_family))
+        assert got != repr(_step_loop_price(option, model, market, kernel, mc, not log_family))
+
     def test_barrier_payoff(self, heston, market, kernel):
         mc = McConfig(2000, 32, seed=7)
         eu = mc_price(OptionSpec("call", 4.0, 1.0), heston, market, kernel, mc)
@@ -329,7 +350,7 @@ class TestIncrementCache:
     def test_kept_increments_are_read_only(self):
         mc = McConfig(paths=40, steps=16, seed=3)
         for _ in range(2):              # drawn, then read back from the cache
-            _, _, batches = mc_module._batches(mc, 1.0, draws=2)
+            _, batches = mc_module._batches(mc, 1.0, draws=2)
             for batch in batches:
                 for d in batch:
                     assert not d.flags.writeable
@@ -362,7 +383,7 @@ class TestIncrementCache:
         defaults = default_config()["mc"]
         mc = McConfig(**defaults)
         assert mc.paths * mc.n_steps(1.0) * 2 * 8 > mc_module._KEEP_BYTES
-        _, _, batches = mc_module._batches(mc, 1.0, draws=2)
+        _, batches = mc_module._batches(mc, 1.0, draws=2)
         db, dperp = next(batches)
         assert db.shape == (256, mc_module._BATCH) and not dperp.flags.writeable
         assert len(draws) == 2          # drawn batch by batch, not whole

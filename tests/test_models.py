@@ -4,7 +4,9 @@ import pytest
 from roughchain import (
     MODEL_NAMES,
     DomainError,
+    KernelSpec,
     MarketParams,
+    OptionSpec,
     ParameterError,
     assemble,
     build_lambda_family,
@@ -212,6 +214,23 @@ class TestDriftTheta:
         want = -beta * v0**2 / (2 * (1 - beta) * (x + market.rho * f0))
         got = drift_theta(x, v0, sabr, market, kernel)
         assert got == pytest.approx(want, abs=1e-10)
+
+
+_SPECS = {
+    MarketParams: dict(s0=10.0, v0=0.04, rho=-0.75),
+    KernelSpec: dict(hurst=0.12, eps=1e-8),
+    OptionSpec: dict(kind="call", strike=4.0, maturity=1.0, rate=0.0),
+}
+
+
+@pytest.mark.parametrize("bad", ["x", [1.0]], ids=["str", "list"])
+@pytest.mark.parametrize("spec, field", [
+    (spec, field) for spec, args in _SPECS.items() for field in args if field != "kind"
+], ids=lambda x: getattr(x, "__name__", x))
+def test_specs_reject_a_non_number(spec, field, bad):
+    # one rule for every float field of the three specs, message included
+    with pytest.raises(ParameterError, match=f"^{field} must be a number$"):
+        spec(**_SPECS[spec] | {field: bad})
 
 
 class TestMarketParams:
