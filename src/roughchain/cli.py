@@ -57,7 +57,7 @@ def default_config() -> dict:
             "v_bounds": None, "x_bounds": None, "bermudan_dates": None,
         },
         "option": dict(presets.BASE_OPTION, barrier=None),
-        "mc": {"paths": 100000, "steps": 256, "seed": 20240, "antithetic": False},
+        "mc": {"paths": 100000, "steps": 256, "seed": 20240},
     }
 
 
@@ -82,22 +82,19 @@ def parse_config(doc: dict) -> dict:
     model = cfg["model"]
     if "params" not in doc.get("model", {}) and model["name"] in MODEL_NAMES:
         model["params"] = presets.model_params(model["name"])
-    for block, key in (("numerics", "n_x"), ("numerics", "m_v"),
-                       ("mc", "paths"), ("mc", "steps"), ("mc", "seed")):
-        value = cfg[block][key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{block}.{key} must be an integer, got {value!r}")
-    if not isinstance(cfg["mc"]["antithetic"], bool):
-        raise ConfigError(f"mc.antithetic must be true or false, got {cfg['mc']['antithetic']!r}")
+    McConfig(**cfg["mc"])      # the mc block's one rule set
     num, v0 = cfg["numerics"], cfg["market"]["v0"]
     for key in ("n_x", "m_v"):
+        if isinstance(num[key], bool) or not isinstance(num[key], int):
+            raise ConfigError(f"numerics.{key} must be an integer, got {num[key]!r}")
         if num[key] < 3:
             raise ConfigError(f"numerics.{key} must be at least 3, got {num[key]}")
     for key in ("v_bounds", "x_bounds"):
         value = num[key]
         if value is not None and not (isinstance(value, (list, tuple)) and len(value) == 2
-                                      and all(type(b) in (int, float) for b in value)):
-            raise ConfigError(f"numerics.{key} must be null or two numbers, got {value!r}")
+                                      and all(type(b) in (int, float) and math.isfinite(b)
+                                              for b in value)):
+            raise ConfigError(f"numerics.{key} must be null or two finite numbers, got {value!r}")
         if value is not None and not value[0] < value[1]:
             raise ConfigError(f"numerics.{key} must be [lo, hi] with lo < hi, got {value!r}")
     if num["v_bounds"] is None and type(v0) in (int, float) and not v0 > 0:

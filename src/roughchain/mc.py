@@ -35,11 +35,11 @@ Randomness comes from the counter-based Philox generator: batch b of a run
 draws from ``Philox(key=seed).jumped(b)``, which gives documented,
 order-independent stream splitting and bit-identical results for a fixed
 (config, seed).  So the increments depend only on the seed, the paths and
-batch size, the steps, the horizon, antithetic and the number of draws, and
-runs that agree on all of these share them: the increments of the last run
-of at most _KEEP_BYTES (4 MiB) are kept read-only, and a second price at
-that config draws nothing.  A larger run is drawn batch by batch and not
-kept.  Batch reductions use fixed-shape numpy sums (pairwise).
+batch size, the steps, the horizon and the number of draws, and runs that
+agree on all of these share them: the increments of the last run of at most
+_KEEP_BYTES (4 MiB) are kept read-only, and a second price at that config
+draws nothing.  A larger run is drawn batch by batch and not kept.  Batch
+reductions use fixed-shape numpy sums (pairwise).
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ NON_FINITE_ADVICE = (
 class McConfig:
     paths: int
     steps: int                 # time steps per unit maturity
-    seed: int = 0
-    antithetic: bool = False
+    seed: int = 0              # a Philox key
 
     def __post_init__(self):
         for name in ("paths", "steps", "seed"):
@@ -89,8 +88,8 @@ class McConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.paths < 1 or self.steps < 1:
             raise ParameterError("paths and steps must be >= 1")
-        if not isinstance(self.antithetic, bool):
-            raise ParameterError(f"antithetic must be true or false, got {self.antithetic!r}")
+        if not 0 <= self.seed < 2**128:
+            raise ParameterError(f"seed must be a Philox key in [0, 2**128), got {self.seed}")
 
     def n_steps(self, horizon: float) -> int:
         return max(1, int(round(self.steps * horizon)))
@@ -123,11 +122,8 @@ def _kernel_weights(k_steps: int, horizon: float, hurst: float, shift: float) ->
     return wts
 
 
-def _draw_normals(rng, m, k, antithetic):
-    if antithetic:
-        half = (m + 1) // 2
-        z = rng.standard_normal((half, k))
-        return np.concatenate([z, -z])[:m]
+def _draw_normals(rng, m, k):
+    """One batch's standard normals, (m, k): the one place a run draws."""
     return rng.standard_normal((m, k))
 
 
@@ -158,7 +154,7 @@ def _draw_run(mc: McConfig, k_steps: int, dt: float, draws: int, size: int):
     for b, start in enumerate(range(0, mc.paths, size)):
         m = min(size, mc.paths - start)
         rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(b))
-        batch = tuple(np.multiply(_draw_normals(rng, m, k_steps, mc.antithetic).T, np.sqrt(dt),
+        batch = tuple(np.multiply(_draw_normals(rng, m, k_steps).T, np.sqrt(dt),
                                   out=np.empty((k_steps, m)))
                       for _ in range(draws))
         for d in batch:

@@ -119,15 +119,19 @@ class TestPriceCommand:
         "mc.paths=true",
         "mc.steps=2.0",
         "mc.seed=1.5",
+        "mc.seed=-1",
+        "mc.seed=340282366920938463463374607431768211456",
         "numerics.v_bounds=[0.1]",
         "option.barrier=[15]",
         "kernel.hurst=abc",
         "model.params.sigma=x",
         "model.params=5",
-        'mc.antithetic="no"',
         "numerics.n_x=2",
         "numerics.v_bounds=[0.5,0.1]",
         "numerics.x_bounds=[5,1]",
+        "numerics.v_bounds=[0.01,Infinity]",
+        "numerics.v_bounds=[NaN,0.1]",
+        "numerics.x_bounds=[-Infinity,5]",
         "market.v0=0",
         "option.strike=NaN",
         "option.strike=Infinity",
@@ -198,6 +202,31 @@ class TestPriceCommand:
         )
         assert code == 2
 
+    def test_removed_antithetic_key_rejected(self, tmp_path, capsys):
+        # Monte Carlo has one draw; a config that still picks one is refused
+        code, _ = _run("price", tmp_path, config=SMALL, overrides=['mc.antithetic="no"'])
+        assert code == 2
+        code, out = _run("price", tmp_path, config={"mc": {"antithetic": False}})
+        assert code == 2 and out == ""
+        assert "unknown key mc.antithetic" in capsys.readouterr().err
+
+    def test_unknown_method_exit_code(self, tmp_path, capsys):
+        code, out = _run("price", tmp_path, config=SMALL, overrides=["numerics.method=dense"])
+        assert code == 2 and out == ""
+        assert "unknown numerics.method 'dense'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["price", "table", "compare-mc", "selfcheck"])
+    @pytest.mark.parametrize("override, message", [
+        ("mc.paths=0", "paths and steps must be >= 1"),
+        ("mc.seed=-1", "seed must be a Philox key in [0, 2**128)"),
+    ], ids=["paths=0", "seed=-1"])
+    def test_every_command_checks_the_mc_block(self, tmp_path, capsys, command, override,
+                                               message):
+        # McConfig states the mc rules once; every command parses the config by them
+        code, out = _run(command, tmp_path, config=SMALL, overrides=[override])
+        assert code == 2 and out == ""
+        assert message in capsys.readouterr().err
+
 
 class TestTableCommand:
     def test_eps_sweep_shape(self, tmp_path):
@@ -213,6 +242,18 @@ class TestTableCommand:
         lines = out.strip().splitlines()
         assert lines[1] == "n,m,price,benchmark,rel_error"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize("override, flavor", [
+        ("option.barrier=[2, 15]", "barrier"),
+        ("numerics.bermudan_dates=4", "american"),
+    ])
+    def test_benchmark_column_reads_the_option_flavor(self, tmp_path, override, flavor):
+        code, out = _run("table", tmp_path, config=SMALL, overrides=[override])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].startswith(f"# model=rough-heston option={flavor} ")
+        bench = presets.REFERENCE_PRICES["rough-heston"][flavor]
+        assert {row.split(",")[2] for row in lines[2:]} == {format(bench, ".17g")}
 
 
 class TestCompareMc:

@@ -87,6 +87,13 @@ class TestTridiagonalRows:
         q1 = tridiagonal_generator(_grid(nodes + 7.5), drift, diff2)
         assert np.allclose(q0, q1, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("diff2", [-1e-12, np.array([1.0, 1.0, -0.5, 1.0, 1.0])],
+                             ids=["scalar", "one-node"])
+    def test_negative_diffusion_rejected(self, diff2):
+        grid = _grid(np.linspace(0.0, 1.0, 5))
+        with pytest.raises(GeneratorError, match="negative squared diffusion"):
+            tridiagonal_generator(grid, np.zeros(5), diff2)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(min_value=5, max_value=25),

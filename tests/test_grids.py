@@ -8,7 +8,19 @@ from roughchain import (
     build_x_grid,
     make_model,
 )
+from roughchain.grids import Grid
 from roughchain.presets import model_params
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([0.0, 1.0], "at least 3 ordered nodes"),
+    ([[0.0, 1.0, 2.0]], "at least 3 ordered nodes"),
+    ([0.0, 2.0, 1.0], "strictly increasing"),
+    ([0.0, 1.0, 1.0], "strictly increasing"),
+], ids=["two-nodes", "two-dimensional", "decreasing", "repeated"])
+def test_malformed_nodes_rejected(nodes, message):
+    with pytest.raises(GridError, match=message):
+        Grid(nodes=nodes, anchor_index=1)
 
 
 class TestVarianceGrid:

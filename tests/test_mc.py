@@ -50,12 +50,7 @@ def _path_major_v(model, market, mc, horizon, kernel, perturbed=False):
     for b, start in enumerate(range(0, mc.paths, _BATCH)):
         m = min(_BATCH, mc.paths - start)
         rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(b))
-        if mc.antithetic:
-            z = rng.standard_normal(((m + 1) // 2, k_steps))
-            z = np.concatenate([z, -z])[:m]
-        else:
-            z = rng.standard_normal((m, k_steps))
-        db = z * np.sqrt(dt)
+        db = rng.standard_normal((m, k_steps)) * np.sqrt(dt)
         v = np.full((m, k_steps + 1), market.v0)
         b_hist = np.empty((m, k_steps))
         s_hist = np.empty((m, k_steps))
@@ -120,18 +115,21 @@ class TestBlockedRecursion:
             return _const_coeff_model(heston, b_const=1.5, sigma_const=0.3)
         return all_models[request.param]
 
-    @pytest.mark.parametrize("paths, steps, antithetic", [
-        *[(33, k, False) for k in (1, 15, 16, 17, 48, 64)],   # blocks end exactly, mid-block
-        (8193, 17, False),                                     # two batches
-        (301, 48, True),                                       # odd antithetic count
+    @pytest.mark.parametrize("paths, steps, perturbed", [
+        (paths, steps, perturbed)
+        for paths, steps in [
+            *[(33, k) for k in (1, 15, 16, 17, 48, 64)],   # blocks end exactly, mid-block
+            (8193, 17),                                    # two batches
+            (301, 48),                                     # odd path count
+        ]
+        for perturbed in (False, True)
     ])
-    def test_matches_path_major_loop(self, model, market, kernel, paths, steps, antithetic):
-        mc = McConfig(paths=paths, steps=steps, seed=21, antithetic=antithetic)
-        for perturbed in (False, True):
-            v = simulate_v(model, market, mc, 1.0, kernel, perturbed)
-            ref = _path_major_v(model, market, mc, 1.0, kernel, perturbed)
-            assert v.shape == ref.shape == (paths, steps + 1)
-            assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+    def test_matches_path_major_loop(self, model, market, kernel, paths, steps, perturbed):
+        mc = McConfig(paths=paths, steps=steps, seed=21)
+        v = simulate_v(model, market, mc, 1.0, kernel, perturbed)
+        ref = _path_major_v(model, market, mc, 1.0, kernel, perturbed)
+        assert v.shape == ref.shape == (paths, steps + 1)
+        assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSimulateV:
@@ -186,10 +184,21 @@ class TestMcPrice:
         with pytest.raises(ParameterError, match=f"{field} must be an integer"):
             McConfig(**args)
 
-    @pytest.mark.parametrize("value", ["no", 1, None])
-    def test_non_bool_antithetic_rejected(self, value):
-        with pytest.raises(ParameterError, match="antithetic must be true or false"):
-            McConfig(paths=10, steps=4, antithetic=value)
+    @pytest.mark.parametrize("field, value, message", [
+        ("paths", 0, "paths and steps must be >= 1"),
+        ("steps", 0, "paths and steps must be >= 1"),
+        ("seed", -1, r"seed must be a Philox key in \[0, 2\*\*128\)"),
+        ("seed", 2**128, r"seed must be a Philox key in \[0, 2\*\*128\)"),
+    ], ids=["paths-0", "steps-0", "seed--1", "seed-2**128"])
+    def test_out_of_range_counts_rejected(self, field, value, message):
+        args = dict(paths=10, steps=4, seed=0)
+        args[field] = value
+        with pytest.raises(ParameterError, match=message):
+            McConfig(**args)
+
+    def test_largest_seed_draws(self, heston, market, kernel):
+        mc = McConfig(paths=4, steps=4, seed=2**128 - 1)
+        assert np.isfinite(simulate_v(heston, market, mc, 1.0, kernel)).all()
 
     def test_degenerate_model_prices_spot_exactly(self, heston, market, kernel):
         model = _const_coeff_model(heston, b_const=0.0, sigma_const=0.0, phi_const=0.0)
@@ -232,15 +241,6 @@ class TestMcPrice:
                 opt, model, floats, kernel, mc
             )
 
-    def test_antithetic_mean_and_variance(self, heston, market, kernel):
-        opt = OptionSpec("call", 4.0, 1.0)
-        plain = mc_price(opt, heston, market, kernel, mc=McConfig(8000, 32, seed=3))
-        anti = mc_price(
-            opt, heston, market, kernel, mc=McConfig(8000, 32, seed=3, antithetic=True)
-        )
-        assert abs(anti[0] - plain[0]) <= 2 * (plain[1] + anti[1])
-        assert anti[1] < plain[1]
-
     def test_stderr_scaling(self, heston, market, kernel):
         opt = OptionSpec("call", 4.0, 1.0)
         _, se1 = mc_price(opt, heston, market, kernel, McConfig(4000, 16, seed=4))
@@ -273,7 +273,7 @@ class TestMcPrice:
         params = model_params(name)
         for p, mc in ((params, McConfig(paths=11, steps=24, seed=5)),
                       (params | ({"r": 0.05, "q": 0.02} if "r" in params else {}),
-                       McConfig(paths=10, steps=40, seed=6, antithetic=True))):
+                       McConfig(paths=10, steps=40, seed=6))):
             model = make_model(name, p)
             for option in (OptionSpec("call", 10.0, 1.0), OptionSpec("put", 12.0, 0.5)):
                 got = mc_price(option, model, market, kernel, mc)
@@ -336,10 +336,10 @@ class TestIncrementCache:
         assert repr(second) == repr(first)
 
     @pytest.mark.parametrize("change", [
-        {"seed": 92}, {"paths": 1023}, {"steps": 128}, {"maturity": 1.0}, {"antithetic": True},
-    ], ids=["seed", "paths", "steps", "maturity", "antithetic"])
+        {"seed": 92}, {"paths": 1023}, {"steps": 128}, {"maturity": 1.0},
+    ], ids=["seed", "paths", "steps", "maturity"])
     def test_any_change_draws_afresh(self, heston, market, kernel, draws, change):
-        base = dict(paths=1024, steps=256, seed=91, antithetic=False)
+        base = dict(paths=1024, steps=256, seed=91)
         maturity = change.pop("maturity", 0.5)
         mc_price(OptionSpec("call", 4.0, 0.5), heston, market, kernel, McConfig(**base))
         assert len(draws) == 2
@@ -360,15 +360,15 @@ class TestIncrementCache:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("batch", [8192, 7])
-    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("perturbed", [False, True])
     def test_cleared_and_warm_agree_bit_for_bit(self, all_models, market, kernel, monkeypatch,
-                                                batch, antithetic):
+                                                batch, perturbed):
         monkeypatch.setattr(mc_module, "_BATCH", batch)
-        mc = McConfig(paths=31, steps=24, seed=17, antithetic=antithetic)
+        mc = McConfig(paths=31, steps=24, seed=17)
         runs = {
             "mc_price": lambda m: repr(mc_price(OptionSpec("put", 11.0, 0.5), m, market,
-                                                kernel, mc)),
-            "simulate_v": lambda m: simulate_v(m, market, mc, 0.5, kernel, True).tobytes(),
+                                                kernel, mc, perturbed)),
+            "simulate_v": lambda m: simulate_v(m, market, mc, 0.5, kernel, perturbed).tobytes(),
             "estimate_l2_rate": lambda m: repr(estimate_l2_rate([1e-4, 1e-3], m, market, mc,
                                                                 0.5, kernel.hurst)),
         }

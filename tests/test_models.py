@@ -46,6 +46,12 @@ class TestMakeModel:
         with pytest.raises(ParameterError, match="unknown model"):
             make_model("rough-bogus", {})
 
+    @pytest.mark.parametrize("name", ["nope", "Rough-Heston"])
+    def test_unknown_preset_lists_the_families(self, name):
+        with pytest.raises(KeyError, match=f"unknown model '{name}'") as err:
+            model_params(name)
+        assert str(MODEL_NAMES) in str(err.value)
+
     def test_missing_and_extra_params(self):
         with pytest.raises(ParameterError, match="missing"):
             make_model("rough-heston", {"r": 0.0})
