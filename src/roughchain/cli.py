@@ -82,24 +82,7 @@ def parse_config(doc: dict) -> dict:
     model = cfg["model"]
     if "params" not in doc.get("model", {}) and model["name"] in MODEL_NAMES:
         model["params"] = presets.model_params(model["name"])
-    McConfig(**cfg["mc"])      # the mc block's one rule set
-    num, v0 = cfg["numerics"], cfg["market"]["v0"]
-    for key in ("n_x", "m_v"):
-        if isinstance(num[key], bool) or not isinstance(num[key], int):
-            raise ConfigError(f"numerics.{key} must be an integer, got {num[key]!r}")
-        if num[key] < 3:
-            raise ConfigError(f"numerics.{key} must be at least 3, got {num[key]}")
-    for key in ("v_bounds", "x_bounds"):
-        value = num[key]
-        if value is not None and not (isinstance(value, (list, tuple)) and len(value) == 2
-                                      and all(type(b) in (int, float) and math.isfinite(b)
-                                              for b in value)):
-            raise ConfigError(f"numerics.{key} must be null or two finite numbers, got {value!r}")
-        if value is not None and not value[0] < value[1]:
-            raise ConfigError(f"numerics.{key} must be [lo, hi] with lo < hi, got {value!r}")
-    if num["v_bounds"] is None and type(v0) in (int, float) and not v0 > 0:
-        raise ConfigError(f"market.v0 must be positive when numerics.v_bounds is null "
-                          f"(the default grid is [1e-3 v0, 4 v0]), got {v0!r}")
+    McConfig(**cfg["mc"])      # the mc block's one rule set (grids checks the numerics)
     return cfg
 
 
@@ -118,18 +101,15 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        parts = path.split(".")
         node = out
-        for p in parts[:-1]:
-            if not isinstance(node, dict) or p not in node:
+        for key in path.split("."):  # every step, the leaf too, reads a key of an object
+            if not isinstance(node, dict) or key not in node:
                 raise ConfigError(f"unknown override path {path!r}")
-            node = node[p]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown override path {path!r}")
-        if (path == "model.name" and value in MODEL_NAMES and value != node["name"]
+            parent, node = node, node[key]
+        if (path == "model.name" and value in MODEL_NAMES and value != node
                 and "model.params" not in paths):
-            node["params"] = presets.model_params(value)
-        node[parts[-1]] = value
+            parent["params"] = presets.model_params(value)
+        parent[key] = value
     return parse_config(out)
 
 
@@ -145,8 +125,7 @@ def _build_system(cfg: dict) -> ctmc.GeneratorSet:
     return ctmc.assemble(
         model, market, kernel,
         n=num["n_x"], m=num["m_v"],
-        v_bounds=tuple(num["v_bounds"]) if num["v_bounds"] else None,
-        x_bounds=tuple(num["x_bounds"]) if num["x_bounds"] else None,
+        v_bounds=num["v_bounds"], x_bounds=num["x_bounds"],
     )
 
 

@@ -5,15 +5,21 @@ anchor node (the initial state), with the panel split chosen so the two
 spacings differ by O(span/M^2).  That construction pins the anchor bit-exactly
 while satisfying the spacing regularity h = O(1/M), |h_i - h_{i+1}| = O(1/M^2)
 required by the chain convergence analysis.
+
+Sizes are integers of at least 3; given bounds are two finite numbers lo < hi.
+The default domains [1e-3 v0, 4 v0] and [1e-3 X0, 4 X0], X0 = g(s0) - rho f(v0),
+need a positive anchor.  Bad input raises ParameterError naming its config key;
+a domain that excludes its anchor raises GridError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, ParameterError
 from .models import MarketParams, ModelSpec
 
 __all__ = ["Grid", "build_variance_grid", "build_x_grid"]
@@ -21,6 +27,8 @@ __all__ = ["Grid", "build_variance_grid", "build_x_grid"]
 # Big/small asset proxies used to bound transform images on open domains.
 _BIG_ASSET_MULT = 1e5
 _SMALL_ASSET_MULT = 1e-12
+# each grid's config keys: size, bounds
+_KEYS = {"v": ("numerics.m_v", "numerics.v_bounds"), "x": ("numerics.n_x", "numerics.x_bounds")}
 
 
 @dataclass(frozen=True)
@@ -72,27 +80,42 @@ class Grid:
             )
 
 
-def _two_panel(lo: float, hi: float, anchor: float, m: int) -> Grid:
+def _domain(bounds, anchor: float, axis: str) -> tuple[float, float]:
+    """[lo, hi] of the ``axis`` grid: the given bounds, else [1e-3, 4] x anchor."""
+    key = _KEYS[axis][1]
+    if bounds is None:
+        if not anchor > 0:
+            name = "v0" if axis == "v" else "X0 = g(s0) - rho f(v0)"
+            raise ParameterError(f"the default {key} [1e-3, 4] x {name} needs a positive anchor, "
+                                 f"got {anchor:.6g}: set {key} to [lo, hi] around it")
+        return 1e-3 * anchor, 4.0 * anchor
+    try:  # anything but two real numbers (bools excepted) ends as NaN
+        lo, hi = (float(b) if isinstance(b, Real) and not isinstance(b, bool) else np.nan
+                  for b in bounds)
+    except (TypeError, ValueError, OverflowError):
+        lo = hi = np.nan
+    if not -np.inf < lo < hi < np.inf:
+        raise ParameterError(f"{key} must be null or two finite numbers [lo, hi] "
+                             f"with lo < hi, got {bounds!r}")
+    return lo, hi
+
+
+def _two_panel(lo: float, hi: float, anchor: float, m: int, axis: str) -> Grid:
     """Two uniform panels joined at the anchor; minimizes |h_left - h_right|.
 
     The result is checked against the spacing regularity bounds.
     """
+    size_key, bounds_key = _KEYS[axis]
+    if isinstance(m, bool) or not isinstance(m, Integral) or m < 3:
+        raise ParameterError(f"{size_key} must be an integer of at least 3, got {m!r}")
     if not lo < anchor < hi:
-        raise GridError(f"anchor {anchor} must lie strictly inside ({lo}, {hi})")
-    if m < 3:
-        raise GridError(f"need at least 3 nodes, got {m}")
+        raise GridError(f"{bounds_key} ({lo:.6g}, {hi:.6g}) must contain the "
+                        f"anchor {anchor:.6g} strictly inside")
     cells = m - 1
     # candidate split counts around the proportional one; pick the most even
     target = (anchor - lo) / (hi - lo) * cells
-    best = None
-    for n_left in {int(np.floor(target)), int(np.ceil(target))}:
-        n_left = min(max(n_left, 1), cells - 1)
-        h_l = (anchor - lo) / n_left
-        h_r = (hi - anchor) / (cells - n_left)
-        key = abs(h_l - h_r)
-        if best is None or key < best[0]:
-            best = (key, n_left)
-    n_left = best[1]
+    splits = [min(max(k, 1), cells - 1) for k in {int(np.floor(target)), int(np.ceil(target))}]
+    n_left = min(splits, key=lambda k: abs((anchor - lo) / k - (hi - anchor) / (cells - k)))
     left = np.linspace(lo, anchor, n_left + 1)
     right = np.linspace(anchor, hi, cells - n_left + 1)
     nodes = np.concatenate([left, right[1:]])
@@ -108,8 +131,7 @@ def build_variance_grid(
     bounds: tuple[float, float] | None = None,
 ) -> Grid:
     """Variance grid on [1e-3 v0, 4 v0] by default, containing v0 exactly."""
-    lo, hi = bounds if bounds is not None else (1e-3 * market.v0, 4.0 * market.v0)
-    return _two_panel(lo, hi, market.v0, m)
+    return _two_panel(*_domain(bounds, market.v0, "v"), market.v0, m, "v")
 
 
 def build_x_grid(
@@ -124,10 +146,10 @@ def build_x_grid(
     Default bounds [1e-3 X0, 4 X0] are clamped so that x + rho f(v) stays
     inside the open image of g for every node of ``vgrid`` (relevant for the
     power-transform and arctangent-transform families, whose g has a bounded
-    image); a violated anchor raises.
+    image).
     """
     x0 = float(model.g(market.s0)) - market.rho * float(model.f_primitive(market.v0))
-    lo, hi = bounds if bounds is not None else (1e-3 * x0, 4.0 * x0)
+    lo, hi = _domain(bounds, x0, "x")
 
     # image of g probed at extreme asset levels
     if model.asset_domain == "positive":
@@ -139,9 +161,5 @@ def build_x_grid(
     rf = market.rho * np.asarray(model.f_primitive(vgrid.nodes))
     lo = max(lo, g_lo - float(rf.min()))
     hi = min(hi, g_hi - float(rf.max()))
-    if not lo < x0 < hi:
-        raise GridError(
-            f"x-grid bounds ({lo:.6g}, {hi:.6g}) do not contain the anchor {x0:.6g}"
-        )
-    return _two_panel(lo, hi, x0, n)
+    return _two_panel(lo, hi, x0, n, "x")
 

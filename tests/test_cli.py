@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import roughchain
-from roughchain import presets, pricing
+from roughchain import ConfigError, presets, pricing
 from roughchain.cli import apply_overrides, default_config, main, parse_config, run
 
 
@@ -55,6 +55,22 @@ class TestConfig:
     def test_bad_override_path(self):
         with pytest.raises(Exception):
             apply_overrides(default_config(), ["kernel.bogus=1"])
+
+    @pytest.mark.parametrize("path", ["option.kind.a", "model.params.r.x", "mc.paths.x"])
+    def test_override_path_past_a_value_is_unknown(self, path):
+        # every step of the path, the leaf too, must read a key of an object
+        with pytest.raises(ConfigError, match=f"^unknown override path '{path}'$"):
+            apply_overrides(default_config(), [f"{path}=1"])
+
+    @pytest.mark.parametrize("doc", [[], {"market": 5}], ids=["list", "block-not-object"])
+    def test_config_file_not_blocks_of_objects(self, tmp_path, doc):
+        code, out = _run("price", tmp_path, config=doc)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("command, sweep", [("table", "x"), ("nope", "eps")])
+    def test_unknown_command_or_sweep(self, tmp_path, command, sweep):
+        code, out = _run(command, tmp_path, config=SMALL, sweep=sweep)
+        assert code == 2 and out == ""
 
     def test_default_config_is_valid(self):
         cfg = default_config()
@@ -168,6 +184,12 @@ class TestPriceCommand:
         code, out = _run("price", tmp_path, config=config)
         assert code == 2 and out == ""
         assert "unknown key numerics.formulation" in capsys.readouterr().err
+
+    def test_default_x_domain_needs_a_positive_anchor(self, tmp_path, capsys):
+        # at s0 = 0.5, X0 = g(s0) - rho f(v0) < 0 and [1e-3 X0, 4 X0] is empty
+        code, out = _run("price", tmp_path, config=SMALL, overrides=["market.s0=0.5"])
+        assert code == 2 and out == ""
+        assert "set numerics.x_bounds to [lo, hi]" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # x-bounds that exclude the anchor: the grid cannot be built

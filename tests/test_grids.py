@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from roughchain import (
     GridError,
     MarketParams,
+    ParameterError,
+    assemble,
     build_variance_grid,
     build_x_grid,
     make_model,
@@ -36,7 +40,7 @@ class TestVarianceGrid:
         assert g.nodes[1] == 0.04
 
     def test_too_small(self, market):
-        with pytest.raises(GridError):
+        with pytest.raises(ParameterError, match="numerics.m_v must be an integer of at least 3"):
             build_variance_grid(2, market)
 
     def test_spacing_regularity(self, market):
@@ -93,3 +97,46 @@ class TestXGrid:
         g = build_x_grid(50, market, sabr, vg)
         f_v = np.asarray(sabr.f_primitive(vg.nodes))
         assert (g.nodes[None, :] + market.rho * f_v[:, None]).min() > 0
+
+
+class TestGridInputs:
+    # grids owns every rule on a grid's size and domain: a library caller of
+    # assemble gets the typed error the CLI reports, naming the key to set
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"n": 30.5}, "numerics.n_x must be an integer"),
+        ({"m": "40"}, "numerics.m_v must be an integer"),
+        ({"n": True}, "numerics.n_x must be an integer"),
+        ({"v_bounds": (0.01, np.inf)}, "numerics.v_bounds must be null or two finite"),
+        ({"x_bounds": (-np.inf, 5)}, "numerics.x_bounds must be null or two finite"),
+        ({"v_bounds": [0.1]}, "numerics.v_bounds must be null or two finite"),
+        ({"v_bounds": (0.1, 0.01)}, "numerics.v_bounds must be null or two finite"),
+        ({"v_bounds": ("0.01", 0.1)}, "numerics.v_bounds must be null or two finite"),
+    ], ids=["n-float", "m-str", "n-bool", "v-inf", "x-minus-inf", "v-one-bound",
+            "v-reversed", "v-str"])
+    def test_malformed_input_names_its_key(self, heston, market, kernel, kwargs, key):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=key):
+                assemble(heston, market, kernel, **{"n": 12, "m": 12, **kwargs})
+
+    @pytest.mark.parametrize("s0, v0, key", [
+        (10.0, 0.0, "numerics.v_bounds"),
+        (10.0, -0.04, "numerics.v_bounds"),
+        (0.5, 0.04, "numerics.x_bounds"),   # X0 = log 0.5 + 0.75 f(v0) < 0
+    ])
+    def test_default_domain_needs_a_positive_anchor(self, heston, kernel, s0, v0, key):
+        market = MarketParams(s0=s0, v0=v0, rho=-0.75)
+        with pytest.raises(ParameterError, match=f"default {key} .* needs a positive anchor"):
+            assemble(heston, market, kernel, n=12, m=12)
+
+    def test_domain_without_its_anchor_stays_a_grid_error(self, heston, market, kernel):
+        with pytest.raises(GridError, match="numerics.v_bounds .* must contain the anchor 0.04"):
+            assemble(heston, market, kernel, n=12, m=12, v_bounds=(0.05, 0.1))
+
+    def test_integer_and_array_bounds_build_the_float_grid(self, heston, market, kernel):
+        want = assemble(heston, market, kernel, n=12, m=12, v_bounds=(0.001, 0.2),
+                        x_bounds=(1.0, 4.0))
+        got = assemble(heston, market, kernel, n=np.int64(12), m=12,
+                       v_bounds=np.array([0.001, 0.2]), x_bounds=[1, 4])
+        assert np.array_equal(got.vgrid.nodes, want.vgrid.nodes)
+        assert np.array_equal(got.xgrid.nodes, want.xgrid.nodes)

@@ -125,3 +125,14 @@ class TestLaplaceQuadrature:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             laplace_quadrature("bogus", KernelSpec(hurst=0.12, eps=1e-2))
+
+    @pytest.mark.parametrize("hurst, kwargs, message", [
+        (0.5, {"kind": "R"}, "degenerate at hurst = 1/2"),
+        (0.12, {"kind": "R", "tol": 0.0}, "tol must be positive"),
+        (0.12, {"kind": "R", "tol": -1e-10}, "tol must be positive"),
+        (0.12, {"kind": "kernel", "s": 0.5}, "requires t and s"),
+        (0.12, {"kind": "kernel", "t": 0.5, "s": 0.7}, "needs s <= t"),
+    ], ids=["hurst-half", "tol-zero", "tol-negative", "kernel-without-t", "s-after-t"])
+    def test_outside_its_domain(self, hurst, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            laplace_quadrature(spec=KernelSpec(hurst=hurst, eps=1e-2), **kwargs)

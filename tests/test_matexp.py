@@ -20,6 +20,13 @@ class TestDense:
         g = random_generator(6, seed=1)
         assert np.array_equal(expm_dense(g, 0.0), np.eye(6))
 
+    @pytest.mark.parametrize("expm", [
+        lambda g, t: expm_dense(g, t), lambda g, t: expm_action(g, np.ones(len(g)), t),
+    ], ids=["dense", "action"])
+    def test_negative_time_rejected(self, expm):
+        with pytest.raises(NumericalError, match="t must be nonnegative"):
+            expm(random_generator(4), -1.0)
+
     def test_two_state_closed_form(self):
         g = np.array([[-1.0, 1.0], [1.0, -1.0]])
         for t in (0.1, 0.7, 3.0):
@@ -389,6 +396,11 @@ class TestAction:
         g = random_generator(5, seed=9) * 1e9
         with pytest.raises(NumericalError, match=r"terms \(nu\*t"):
             expm_action(g, np.ones(5), 1.0)  # nu*t ~ 1e9 exceeds the budget
+
+    def test_zero_generator_returns_a_copy(self):
+        w = np.arange(4.0)
+        out = expm_action(np.zeros((4, 4)), w, 1.0)
+        assert out is not w and np.array_equal(out, w)
 
     def test_nonfinite_vector_rejected(self):
         g = random_generator(4)

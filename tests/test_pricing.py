@@ -6,6 +6,7 @@ import pytest
 
 from roughchain import (
     MODEL_NAMES,
+    DomainError,
     McConfig,
     OptionSpec,
     ParameterError,
@@ -43,6 +44,12 @@ class TestOptionSpec:
     def test_dates(self):
         with pytest.raises(ParameterError):
             OptionSpec("call", 4.0, 1.0, bermudan_dates=0)
+
+
+@pytest.mark.parametrize("price", [-1.0, -2e-9], ids=["minus-one", "below-round-off"])
+def test_negative_price_result_rejected(price):
+    with pytest.raises(DomainError, match="negative price"):
+        pricing.PriceResult(price=price)
 
 
 class TestPayoff:
