@@ -19,13 +19,7 @@ from .errors import (
     RoughChainError,
 )
 from .grids import Grid, build_variance_grid, build_x_grid
-from .kernel import (
-    KernelSpec,
-    fractional_kernel,
-    laplace_constants,
-    laplace_quadrature,
-    perturbed_kernel,
-)
+from .kernel import KernelSpec
 from .matexp import expm_action, expm_dense
 from .mc import McConfig, estimate_l2_rate, mc_price, simulate_v
 from .models import (

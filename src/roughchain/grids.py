@@ -100,17 +100,24 @@ def _domain(bounds, anchor: float, axis: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _two_panel(lo: float, hi: float, anchor: float, m: int, axis: str) -> Grid:
+def _two_panel(lo: float, hi: float, anchor: float, m: int, axis: str,
+               domain: tuple[float, float] | None = None) -> Grid:
     """Two uniform panels joined at the anchor; minimizes |h_left - h_right|.
 
-    The result is checked against the spacing regularity bounds.
+    ``domain`` is the x-domain before ``build_x_grid`` clamps it to [lo, hi];
+    an error names it.  The result is checked against the spacing regularity
+    bounds.
     """
     size_key, bounds_key = _KEYS[axis]
     if isinstance(m, bool) or not isinstance(m, Integral) or m < 3:
         raise ParameterError(f"{size_key} must be an integer of at least 3, got {m!r}")
     if not lo < anchor < hi:
-        raise GridError(f"{bounds_key} ({lo:.6g}, {hi:.6g}) must contain the "
-                        f"anchor {anchor:.6g} strictly inside")
+        d_lo, d_hi = domain or (lo, hi)
+        where = f"{bounds_key} ({d_lo:.6g}, {d_hi:.6g})"
+        if d_lo < anchor < d_hi:
+            raise GridError(f"{where} contains the anchor {anchor:.6g}, but its clamp to the "
+                            f"image of g, ({lo:.6g}, {hi:.6g}), does not: narrow numerics.v_bounds")
+        raise GridError(f"{where} must contain the anchor {anchor:.6g} strictly inside")
     cells = m - 1
     # candidate split counts around the proportional one; pick the most even
     target = (anchor - lo) / (hi - lo) * cells
@@ -149,7 +156,7 @@ def build_x_grid(
     image).
     """
     x0 = float(model.g(market.s0)) - market.rho * float(model.f_primitive(market.v0))
-    lo, hi = _domain(bounds, x0, "x")
+    domain = lo, hi = _domain(bounds, x0, "x")
 
     # image of g probed at extreme asset levels
     if model.asset_domain == "positive":
@@ -161,5 +168,5 @@ def build_x_grid(
     rf = market.rho * np.asarray(model.f_primitive(vgrid.nodes))
     lo = max(lo, g_lo - float(rf.min()))
     hi = min(hi, g_hi - float(rf.max()))
-    return _two_panel(lo, hi, x0, n, "x")
+    return _two_panel(lo, hi, x0, n, "x", domain)
 

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ParameterError, coerce_floats
-from .kernel import KernelSpec, laplace_constants
+from .kernel import KernelSpec
 
 __all__ = [
     "MODEL_NAMES",
@@ -243,8 +243,7 @@ def make_model(name: str, params: dict) -> ModelSpec:
 
 def variance_drift(v, model: ModelSpec, market: MarketParams, kernel: KernelSpec):
     """Variance-chain drift (v - V0) Rhat + b(v)."""
-    _, _, rhat = laplace_constants(kernel)
-    return (np.asarray(v, float) - market.v0) * rhat + model.b(v)
+    return (np.asarray(v, float) - market.v0) * kernel.rhat + model.b(v)
 
 
 def asset_level(x, v, model: ModelSpec, market: MarketParams):

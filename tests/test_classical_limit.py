@@ -3,8 +3,9 @@
 At H = 1/2 the kernel is 1, so Rhat = 0: the chain has no memory drift, and
 rough-heston is classical Heston,
 dV = eta (theta - V) dt + sigma sqrt(V) dB, whose European prices are a
-one-dimensional Fourier integral (Heston, RFS 1993).  The oracle below uses
-the stable form of Albrecher, Mayer, Schoutens & Tistaert (Wilmott 2007).
+one-dimensional Fourier integral (Heston, RFS 1993).  The oracle is
+``heston_call`` in ``tests/oracles.py``, in the stable form of Albrecher,
+Mayer, Schoutens & Tistaert (Wilmott 2007).
 
 The gate prices the strip on the default config with ``kernel.hurst = 0.5``
 and holds every contract to one absolute bound.  It sees every
@@ -15,48 +16,15 @@ noise, and fails while those errors exceed the bound.
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from roughchain import KernelSpec, MarketParams, OptionSpec, assemble, make_model, price_fast
 from roughchain.presets import BASE_KERNEL, BASE_MARKET, model_params
 
+from oracles import heston_call, heston_put_lewis
+
 STRIP = (("put", 6.0), ("put", 8.0), ("put", 10.0), ("call", 12.0), ("call", 14.0))
 # the strip at r = 0, T = 1 on the rough-heston preset, to five decimals
 STRIP_R0 = (0.03054, 0.16593, 0.67134, 0.04858, 0.00110)
-
-
-def _cf(u, t, kappa, theta, sigma, rho, v0):
-    """E[exp(iu ln(S_T / F))] under Heston, F the forward, in the stable form."""
-    beta = kappa - rho * sigma * 1j * u
-    d = np.sqrt(beta**2 + sigma**2 * (1j * u + u * u))
-    g = (beta - d) / (beta + d)
-    e = np.exp(-d * t)
-    c = kappa * theta / sigma**2 * ((beta - d) * t - 2.0 * np.log((1.0 - g * e) / (1.0 - g)))
-    return np.exp(c + v0 * (beta - d) / sigma**2 * (1.0 - e) / (1.0 - g * e))
-
-
-def _integral(f):
-    return quad(f, 0.0, np.inf, limit=500, epsabs=1e-13, epsrel=1e-13)[0]
-
-
-def heston_call(s0, k, t, r, q, kappa, theta, sigma, rho, v0):
-    """Heston European call, e^{-rT} (F P1 - K P2), by Gil-Pelaez inversion."""
-    fwd = s0 * np.exp((r - q) * t)
-    lk, law = np.log(k / fwd), (t, kappa, theta, sigma, rho, v0)
-
-    def prob(shift):  # P1 (shift 1: the share measure) or P2 (shift 0)
-        return 0.5 + _integral(
-            lambda u: (np.exp(-1j * u * lk) * _cf(u - 1j * shift, *law) / (1j * u)).real) / np.pi
-
-    return np.exp(-r * t) * (fwd * prob(1) - k * prob(0))
-
-
-def heston_put_lewis(s0, k, t, r, q, kappa, theta, sigma, rho, v0):
-    """Heston European put by Lewis (2001): a second contour, u - i/2."""
-    fwd = s0 * np.exp((r - q) * t)
-    lk, law = np.log(k / fwd), (t, kappa, theta, sigma, rho, v0)
-    tv = _integral(lambda u: (np.exp(-1j * u * lk) * _cf(u - 0.5j, *law)).real / (u * u + 0.25))
-    return np.exp(-r * t) * (k - np.sqrt(fwd * k) * tv / np.pi)
 
 
 def strip(r):

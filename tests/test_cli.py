@@ -352,7 +352,7 @@ class TestMain:
 
 def test_import_leaves_unused_scipy_subpackages_out():
     # the import and a fast price run on numpy alone; the coupled oracle loads
-    # scipy.sparse on first use (and the quadrature oracle scipy.integrate)
+    # scipy.sparse on first use
     code = (
         "import io, sys, roughchain, roughchain.cli as cli\n"
         "small = ['numerics.n_x=20', 'numerics.m_v=20']\n"
@@ -365,6 +365,18 @@ def test_import_leaves_unused_scipy_subpackages_out():
                           env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "['scipy.sparse']"]
+    # nor does any module import them lazily: quadrature and special functions
+    # serve the exact references, which live in tests/oracles.py
+    for path in Path(roughchain.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(n.startswith(("scipy.integrate", "scipy.special")) for n in names), \
+                f"{path.name} imports {names}"
 
 
 def test_env_var_config(tmp_path, monkeypatch):

@@ -15,7 +15,6 @@ from roughchain import (
     build_variance_grid,
     build_x_grid,
     drift_theta,
-    laplace_constants,
     validate_generator,
 )
 from roughchain.ctmc import assemble, tridiagonal_generator
@@ -117,9 +116,8 @@ class TestBuildQ:
     def test_drift_and_diffusion_inputs(self, heston, market, kernel):
         vg = build_variance_grid(30, market)
         q = build_Q(vg, heston, market, kernel)
-        _, _, rhat = laplace_constants(kernel)
         v = vg.nodes
-        want = (v - market.v0) * rhat + heston.b(v)
+        want = (v - market.v0) * kernel.rhat + heston.b(v)
         got = q @ v
         assert np.abs(got[1:-1] - want[1:-1]).max() <= 1e-9 * np.abs(want).max()
         # second moment on rows where the central scheme is valid

@@ -133,6 +133,19 @@ class TestGridInputs:
         with pytest.raises(GridError, match="numerics.v_bounds .* must contain the anchor 0.04"):
             assemble(heston, market, kernel, n=12, m=12, v_bounds=(0.05, 0.1))
 
+    def test_x_domain_without_its_anchor_names_the_given_bounds(self, heston, market, kernel):
+        with pytest.raises(GridError, match=r"numerics.x_bounds \(100, 200\) must contain the "
+                                            r"anchor 2.34009 strictly inside"):
+            assemble(heston, market, kernel, n=12, m=12, x_bounds=(100, 200))
+
+    def test_x_domain_whose_clamp_drops_the_anchor_says_so(self, all_models, market, kernel):
+        # power transform: g > 0 keeps x above -rho f(v) for every regime, above X0 at v = 10
+        with pytest.raises(GridError, match=r"numerics.x_bounds \(1e-06, 50\) contains the anchor "
+                                            r"6.68837, but its clamp to the image of g, \(9.37667, "
+                                            r"50\), does not: narrow numerics.v_bounds"):
+            assemble(all_models["rough-sabr"], market, kernel, n=12, m=12,
+                     v_bounds=(1e-4, 10.0), x_bounds=(1e-6, 50))
+
     def test_integer_and_array_bounds_build_the_float_grid(self, heston, market, kernel):
         want = assemble(heston, market, kernel, n=12, m=12, v_bounds=(0.001, 0.2),
                         x_bounds=(1.0, 4.0))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from roughchain import (
-    DomainError,
-    KernelSpec,
-    ParameterError,
+from roughchain import DomainError, KernelSpec, ParameterError
+
+from oracles import (
     fractional_kernel,
-    laplace_constants,
+    gamma_h,
+    k_eps,
     laplace_quadrature,
+    laplace_r,
     perturbed_kernel,
 )
 
@@ -40,7 +41,7 @@ class TestPerturbedKernel:
     def test_zero_lag_equals_keps(self):
         spec = KernelSpec(hurst=0.12, eps=1e-2)
         assert perturbed_kernel(1.0, 1.0, spec) == pytest.approx(KP_1_1_H012_E2, rel=1e-14)
-        assert perturbed_kernel(1.0, 1.0, spec) == pytest.approx(spec.k_eps, rel=1e-15)
+        assert perturbed_kernel(1.0, 1.0, spec) == pytest.approx(k_eps(spec), rel=1e-15)
 
     def test_unit_eps_zero_lag(self):
         spec = KernelSpec(hurst=0.12, eps=1.0)
@@ -63,30 +64,35 @@ class TestPerturbedKernel:
 
 class TestLaplaceConstants:
     def test_rhat_closed_form_value(self):
-        _, _, rhat = laplace_constants(KernelSpec(hurst=0.12, eps=1e-2))
+        rhat = KernelSpec(hurst=0.12, eps=1e-2).rhat
         assert rhat == pytest.approx(-0.37623762376237623762, rel=1e-14)
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-2, 1.0])
+    def test_rhat_exactly_zero_at_half(self, eps):
+        # the H = 1/2 gates rely on the chain having no memory drift there
+        assert KernelSpec(hurst=0.5, eps=eps).rhat == 0.0
+
     def test_r_small_eps_limit(self):
-        _, r, _ = laplace_constants(KernelSpec(hurst=0.12, eps=1e-12))
+        r = laplace_r(KernelSpec(hurst=0.12, eps=1e-12))
         assert r == pytest.approx(INV_GAMMA_062, rel=1e-10)
 
     @pytest.mark.parametrize("h", [0.05, 0.12, 0.3, 0.45])
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
     def test_algebraic_identity(self, h, eps):
         spec = KernelSpec(hurst=h, eps=eps)
-        _, r, _ = laplace_constants(spec)
-        assert r * spec.gamma_h * (1 + eps) ** (0.5 - h) == pytest.approx(1.0, rel=1e-14)
+        identity = laplace_r(spec) * gamma_h(spec) * (1 + eps) ** (0.5 - h)
+        assert identity == pytest.approx(1.0, rel=1e-14)
 
     def test_signs(self):
-        keps, r, rhat = laplace_constants(KernelSpec(hurst=0.3, eps=1e-3))
-        assert keps > 0 and r > 0 and rhat < 0
+        spec = KernelSpec(hurst=0.3, eps=1e-3)
+        assert k_eps(spec) > 0 and laplace_r(spec) > 0 and spec.rhat < 0
 
     def test_keps_divergence_rate(self):
         # log-log slope of Keps against eps equals H - 1/2
         h = 0.12
         e1, e2 = 1e-6, 1e-9
-        k1 = KernelSpec(hurst=h, eps=e1).k_eps
-        k2 = KernelSpec(hurst=h, eps=e2).k_eps
+        k1 = k_eps(KernelSpec(hurst=h, eps=e1))
+        k2 = k_eps(KernelSpec(hurst=h, eps=e2))
         slope = (np.log(k2) - np.log(k1)) / (np.log(e2) - np.log(e1))
         assert slope == pytest.approx(h - 0.5, abs=1e-6)
 
@@ -104,11 +110,10 @@ class TestLaplaceQuadrature:
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
     def test_closed_forms_match_quadrature(self, h, eps):
         spec = KernelSpec(hurst=h, eps=eps)
-        _, r, rhat = laplace_constants(spec)
         r_q = laplace_quadrature("R", spec, tol=1e-11)
         num_q = laplace_quadrature("Rhat-numerator", spec, tol=1e-11)
-        assert abs(r - r_q) <= 1e-8 * abs(r_q)
-        assert abs(rhat - (-num_q / r_q)) <= 1e-8 * abs(rhat)
+        assert abs(laplace_r(spec) - r_q) <= 1e-8 * abs(r_q)
+        assert abs(spec.rhat - (-num_q / r_q)) <= 1e-8 * abs(spec.rhat)
 
     def test_kernel_representation_lattice(self):
         spec = KernelSpec(hurst=0.12, eps=1e-2)

@@ -14,9 +14,9 @@ from roughchain import (
     build_variance_grid,
     build_x_grid,
     drift_theta,
-    laplace_constants,
     make_model,
 )
+from roughchain.models import variance_drift
 from roughchain.presets import model_params
 
 # frozen with 40-digit arithmetic
@@ -197,16 +197,22 @@ class TestDriftTheta:
 
     def test_heston_closed_form_row(self, heston, market, kernel):
         # r - q - v/2 - rho eta (theta - v)/sigma + rho (v - v0) Rhat/sigma
-        _, _, rhat = laplace_constants(kernel)
         x0 = np.log(10.0) - market.rho * heston.f_primitive(market.v0)
         for v in (0.004, 0.04, 0.1):
             want = (
                 -v / 2
                 - market.rho * 4 * (0.035 - v) / 0.8
-                - market.rho * (v - market.v0) * rhat / 0.8
+                - market.rho * (v - market.v0) * kernel.rhat / 0.8
             )
             got = drift_theta(x0, v, heston, market, kernel)
             assert got == pytest.approx(want, abs=1e-10)
+
+    def test_no_memory_drift_at_half(self, heston, market):
+        # Rhat = 0 at H = 1/2, so the variance drift is the classical b(v) bit
+        # for bit and the H = 1/2 gates discretize classical Heston
+        kernel = KernelSpec(hurst=0.5, eps=1e-8)
+        v = build_variance_grid(100, market).nodes
+        assert np.array_equal(variance_drift(v, heston, market, kernel), heston.b(v))
 
     def test_sabr_closed_form_row(self, all_models, kernel):
         # at v = v0 the memory term vanishes and b = 0, leaving only
